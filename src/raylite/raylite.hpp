@@ -41,7 +41,6 @@ class Future {
 
  private:
   friend class RayLite;
-  friend class ActorHandle;
   struct State {
     std::mutex mutex;
     std::condition_variable cv;
@@ -76,13 +75,6 @@ class RayLite {
 
   /// Number of tasks executed to completion so far.
   int64_t tasks_completed() const;
-
-  /// Blocks until `req` can be carved out of the pool, then claims it.
-  /// Used by actors, which pin resources for their lifetime.
-  void acquire_resources(const Resources& req);
-
-  /// Returns previously acquired resources to the pool.
-  void release_resources(const Resources& req);
 
  private:
   struct PendingTask {

@@ -45,18 +45,21 @@ void record_overlap(const GradBucketer& bucketer, int64_t backward_end_us) {
   }
 }
 
-bool elastic_enabled(bool configured) {
-  const char* env = std::getenv("DMIS_ELASTIC");
+// An on/off switch: the environment variable `name` when set, else
+// `configured`.
+bool env_flag(const char* name, bool configured) {
+  const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return configured;
   return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
            std::strcmp(env, "off") == 0);
 }
 
-bool elastic_grow_enabled(bool configured) {
-  const char* env = std::getenv("DMIS_ELASTIC_GROW");
-  if (env == nullptr || *env == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
+// Rows [lo, lo + count) of a batch-major array.
+NDArray rows(const NDArray& a, int64_t lo, int64_t count) {
+  const int64_t per = a.numel() / a.shape().dim(0);
+  return NDArray(a.shape().with_dim(0, count),
+                 std::span<const float>(a.data() + lo * per,
+                                        static_cast<size_t>(count * per)));
 }
 
 // The checkpoint contract joiners are validated against: ordered
@@ -113,10 +116,8 @@ struct StepFailure {
 
 struct MirroredStrategy::Impl {
   std::vector<comm::Communicator> comms;
-  std::vector<std::unique_ptr<nn::Loss>> losses;
-  std::vector<std::unique_ptr<nn::Optimizer>> optimizers;
+  std::vector<std::unique_ptr<ModelStep<nn::UNet3d>>> steps;
   std::vector<std::unique_ptr<GradBucketer>> bucketers;  // empty: per-tensor
-  std::unique_ptr<nn::LrSchedule> schedule;
   std::unique_ptr<StragglerDetector> straggler;
   bool elastic = false;
   bool elastic_grow = false;
@@ -138,20 +139,26 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
       impl_(std::make_unique<Impl>()) {
   DMIS_CHECK(options.num_replicas >= 1,
              "need >= 1 replica, got " << options.num_replicas);
+  // The bucketer launches collectives during each backward pass, so a
+  // replica cannot hold gradients back across batches.
+  DMIS_CHECK(options.train.grad_accumulation == 1,
+             "MirroredStrategy cannot accumulate gradients, got "
+             "grad_accumulation " << options.train.grad_accumulation);
   const int r = options.num_replicas;
   replicas_.reserve(static_cast<size_t>(r));
   for (int i = 0; i < r; ++i) {
     // Same seed in model_options -> bit-identical initial weights.
     replicas_.push_back(std::make_unique<nn::UNet3d>(model_options));
   }
-  impl_->elastic = elastic_enabled(options.elastic);
+  impl_->elastic = env_flag("DMIS_ELASTIC", options.elastic);
   if (impl_->elastic) {
     DMIS_CHECK(!options_.elastic_dir.empty(),
                "elastic mode needs MirroredOptions::elastic_dir for the "
                "step-consistent checkpoint");
     impl_->ckpt_path = options_.elastic_dir + "/elastic.ckpt";
   }
-  impl_->elastic_grow = elastic_grow_enabled(options.elastic_grow);
+  impl_->elastic_grow =
+      env_flag("DMIS_ELASTIC_GROW", options.elastic_grow);
   if (impl_->elastic_grow) {
     DMIS_CHECK(impl_->elastic,
                "elastic_grow requires elastic mode: the grow path reuses "
@@ -224,43 +231,29 @@ void MirroredStrategy::build_group() {
     model->graph().set_grad_ready_hook(nullptr);
   }
   impl_->bucketers.clear();
-  impl_->optimizers.clear();
-  impl_->losses.clear();
+  impl_->steps.clear();
   impl_->comms.clear();
   comm::GroupOptions group_options;
   group_options.timeout_ms = options_.comm_timeout_ms;
   group_options.algo = options_.comm_algo;
   group_options.ranks_per_node = options_.comm_ranks_per_node;
   impl_->comms = comm::make_group(r, group_options);
-  const double lr = effective_lr();
-  for (int i = 0; i < r; ++i) {
-    impl_->losses.push_back(nn::make_loss(options_.train.loss));
-    impl_->optimizers.push_back(nn::make_optimizer(
-        options_.train.optimizer, replicas_[static_cast<size_t>(i)]->params(),
-        lr));
-  }
   const size_t bucket_bytes =
       GradBucketer::effective_bucket_bytes(options_.bucket_bytes);
-  if (bucket_bytes > 0) {
-    for (int i = 0; i < r; ++i) {
-      nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
-      impl_->bucketers.push_back(std::make_unique<GradBucketer>(
-          model.params(), impl_->comms[static_cast<size_t>(i)],
-          bucket_bytes, options_.compress));
-      // Fires each bucket's allreduce mid-backward; disarmed outside
-      // begin_step()/wait_all(), so forward-only use stays free.
-      model.graph().set_grad_ready_hook(
-          [b = impl_->bucketers.back().get()](const nn::Param& p) {
-            b->on_grad_ready(p);
-          });
-    }
-  }
-  if (options_.train.cyclic.has_value()) {
-    const auto& c = *options_.train.cyclic;
-    impl_->schedule =
-        std::make_unique<nn::CyclicLr>(c.base_lr, c.max_lr, c.step_size);
-  } else {
-    impl_->schedule = std::make_unique<nn::ConstantLr>(lr);
+  for (int i = 0; i < r; ++i) {
+    nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
+    impl_->steps.push_back(std::make_unique<ModelStep<nn::UNet3d>>(
+        model, options_.train, effective_lr()));
+    if (bucket_bytes == 0) continue;
+    impl_->bucketers.push_back(std::make_unique<GradBucketer>(
+        model.params(), impl_->comms[static_cast<size_t>(i)], bucket_bytes,
+        options_.compress));
+    // Fires each bucket's allreduce mid-backward; disarmed outside
+    // begin_step()/wait_all(), so forward-only use stays free.
+    model.graph().set_grad_ready_hook(
+        [b = impl_->bucketers.back().get()](const nn::Param& p) {
+          b->on_grad_ready(p);
+        });
   }
   // Fresh detector per group: after an elastic shrink the surviving
   // replicas are renumbered, so old per-rank windows no longer apply.
@@ -270,7 +263,6 @@ void MirroredStrategy::build_group() {
 TrainReport MirroredStrategy::fit(data::BatchStream& train,
                                   data::BatchStream* val,
                                   const EpochCallback& callback) {
-  TrainReport report;
   const bool elastic = impl_->elastic;
   auto& reg = obs::MetricsRegistry::instance();
   obs::Gauge& world_gauge = reg.gauge("train.elastic.world_size");
@@ -284,15 +276,14 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
   // affected, never the weights).
   NDArray progress(Shape({4}));
 
-  const auto save_state = [&](int64_t epoch, int64_t step_in_epoch,
-                              double loss_sum) {
-    progress[0] = static_cast<float>(epoch);
-    progress[1] = static_cast<float>(step_in_epoch);
+  const auto save_state = [&](const LoopPosition& at) {
+    progress[0] = static_cast<float>(at.epoch);
+    progress[1] = static_cast<float>(at.steps);
     progress[2] =
-        static_cast<float>(impl_->optimizers.front()->step_count());
-    progress[3] = static_cast<float>(loss_sum);
+        static_cast<float>(impl_->steps.front()->optimizer().step_count());
+    progress[3] = static_cast<float>(at.loss_sum);
     std::vector<nn::Param> params = replicas_.front()->checkpoint_params();
-    for (nn::Param& sp : impl_->optimizers.front()->state_params()) {
+    for (nn::Param& sp : impl_->steps.front()->optimizer().state_params()) {
       params.push_back(sp);
     }
     params.push_back(nn::Param{"__progress__", &progress, &progress});
@@ -302,14 +293,12 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
   if (elastic) {
     std::filesystem::create_directories(options_.elastic_dir);
     nn::sweep_stale_checkpoints(options_.elastic_dir);
-    save_state(0, 0, 0.0);  // step-0 snapshot: a failure in the very
-                            // first step restores to initial weights
+    save_state({});  // step-0 snapshot: a failure in the very first
+                     // step restores to initial weights
   }
 
   // Set by elastic recovery to resume a partially completed epoch.
-  int64_t epoch = 0;
-  int64_t resume_steps = 0;
-  double resume_loss_sum = 0.0;
+  LoopPosition resume;
 
   // Shrinks to the survivors of a failed step and restores the last
   // step-consistent checkpoint into every one of them. Rethrows when
@@ -359,17 +348,17 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
         std::to_string(world_size()) + ")");
     for (size_t i = 0; i < replicas_.size(); ++i) {
       std::vector<nn::Param> params = replicas_[i]->checkpoint_params();
-      for (nn::Param& sp : impl_->optimizers[i]->state_params()) {
+      for (nn::Param& sp : impl_->steps[i]->optimizer().state_params()) {
         params.push_back(sp);
       }
       params.push_back(nn::Param{"__progress__", &progress, &progress});
       nn::load_checkpoint(impl_->ckpt_path, params);
-      impl_->optimizers[i]->set_step_count(
+      impl_->steps[i]->optimizer().set_step_count(
           static_cast<int64_t>(progress[2]));
     }
-    epoch = static_cast<int64_t>(progress[0]);
-    resume_steps = static_cast<int64_t>(progress[1]);
-    resume_loss_sum = static_cast<double>(progress[3]);
+    resume = {static_cast<int64_t>(progress[0]),
+              static_cast<int64_t>(progress[1]),
+              static_cast<double>(progress[3])};
   };
 
   // Elastic scale-up, run at epoch boundaries: no collective is in
@@ -402,11 +391,11 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     // build_group() hands every replica a fresh optimizer, and the
     // post-rebuild broadcast needs a root that still holds real state.
     std::vector<std::vector<float>> slot_values;
-    for (nn::Param& sp : impl_->optimizers.front()->state_params()) {
+    for (nn::Param& sp : impl_->steps.front()->optimizer().state_params()) {
       slot_values.emplace_back(sp.value->data(),
                                sp.value->data() + sp.value->numel());
     }
-    const int64_t opt_steps = impl_->optimizers.front()->step_count();
+    const int64_t opt_steps = impl_->steps.front()->optimizer().step_count();
     // Survivor error-feedback residuals ride across the rebuild; the
     // bucket layout is a pure function of the parameter list, so the
     // exported state fits the enlarged group's bucketers exactly.
@@ -423,7 +412,7 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
                     // AlgoTuner calibration and straggler baselines
     {
       std::vector<nn::Param> sps =
-          impl_->optimizers.front()->state_params();
+          impl_->steps.front()->optimizer().state_params();
       DMIS_CHECK(sps.size() == slot_values.size(),
                  "optimizer slot count changed across elastic rebuild");
       for (size_t s = 0; s < sps.size(); ++s) {
@@ -451,8 +440,9 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
                replicas_[static_cast<size_t>(rnk)]->checkpoint_params()) {
             comm.broadcast(p.value->span(), /*root=*/0);
           }
-          for (nn::Param& sp :
-               impl_->optimizers[static_cast<size_t>(rnk)]->state_params()) {
+          for (nn::Param& sp : impl_->steps[static_cast<size_t>(rnk)]
+                                   ->optimizer()
+                                   .state_params()) {
             comm.broadcast(sp.value->span(), /*root=*/0);
           }
           NDArray prog(Shape({4}));
@@ -468,7 +458,9 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
     }
     for (std::thread& t : threads) t.join();
     if (bcast_err) std::rethrow_exception(bcast_err);
-    for (auto& opt : impl_->optimizers) opt->set_step_count(opt_steps);
+    for (auto& step : impl_->steps) {
+      step->optimizer().set_step_count(opt_steps);
+    }
     for (size_t s = 0; s < impl_->bucketers.size() && s < residuals.size();
          ++s) {
       impl_->bucketers[s]->import_residuals(residuals[s]);
@@ -490,201 +482,143 @@ TrainReport MirroredStrategy::fit(data::BatchStream& train,
         std::to_string(world) + ")");
   };
 
-  bool stop_requested = false;
-  while (epoch < options_.train.epochs && !stop_requested) {
-    double loss_sum = resume_loss_sum;
-    int64_t steps = resume_steps;
-    int64_t skip = resume_steps;  // fast-forward after a mid-epoch restore
-    resume_steps = 0;
-    resume_loss_sum = 0.0;
-    double current_lr = effective_lr();
-    bool failed_this_epoch = false;
+  // One global step: split the batch, run every replica's shared step
+  // on its own thread with the gradient allreduce as the sync, and
+  // capture failures.
+  const auto global_step = [&](const data::Batch& batch, double lr,
+                               const LoopPosition& at)
+      -> std::optional<double> {
+    const int r = world_size();
+    const int64_t total = batch.size();
+    std::vector<double> replica_loss(static_cast<size_t>(r), 0.0);
+    StepFailure failure(r);
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<size_t>(r));
+    for (int i = 0; i < r; ++i) {
+      threads.emplace_back([&, i] {
+        nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
+        comm::Communicator& comm = impl_->comms[static_cast<size_t>(i)];
+        GradBucketer* bucketer =
+            impl_->bucketers.empty()
+                ? nullptr
+                : impl_->bucketers[static_cast<size_t>(i)].get();
+        try {
+          const int64_t step_begin_us = obs::Tracer::now_us();
+          int64_t sync_wait_us = 0;
+          // Contiguous split of the global batch: replica i takes
+          // total/r (+1 for the first total%r replicas) samples.
+          const int64_t count = total / r + (i < total % r ? 1 : 0);
+          const int64_t lo = i * (total / r) + std::min<int64_t>(i, total % r);
 
-    while (auto batch = train.next()) {
-      if (skip > 0) {
-        --skip;
-        continue;
-      }
-      const int r = world_size();
-      const int64_t total = batch->size();
-      current_lr = impl_->schedule->lr(impl_->optimizers[0]->step_count());
-
-      // Contiguous split of the global batch: replica i takes
-      // total/r (+1 for the first total%r replicas) samples.
-      const int64_t base = total / r;
-      const int64_t extra = total % r;
-      std::vector<int64_t> offsets(static_cast<size_t>(r) + 1, 0);
-      for (int i = 0; i < r; ++i) {
-        const int64_t count = base + (i < extra ? 1 : 0);
-        offsets[static_cast<size_t>(i) + 1] =
-            offsets[static_cast<size_t>(i)] + count;
-      }
-
-      const Shape& img_shape = batch->images.shape();
-      const Shape& lbl_shape = batch->labels.shape();
-      const int64_t img_per = img_shape.numel() / total;
-      const int64_t lbl_per = lbl_shape.numel() / total;
-
-      std::vector<double> replica_loss(static_cast<size_t>(r), 0.0);
-      StepFailure failure(r);
-      std::vector<std::thread> threads;
-      threads.reserve(static_cast<size_t>(r));
-      for (int i = 0; i < r; ++i) {
-        threads.emplace_back([&, i] {
-          nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
-          comm::Communicator& comm = impl_->comms[static_cast<size_t>(i)];
-          GradBucketer* bucketer =
-              impl_->bucketers.empty()
-                  ? nullptr
-                  : impl_->bucketers[static_cast<size_t>(i)].get();
-          try {
-            const int64_t step_begin_us = obs::Tracer::now_us();
-            int64_t sync_wait_us = 0;
-            nn::Optimizer& opt = *impl_->optimizers[static_cast<size_t>(i)];
-            const int64_t lo = offsets[static_cast<size_t>(i)];
-            const int64_t hi = offsets[static_cast<size_t>(i) + 1];
-            const int64_t count = hi - lo;
-
-            // Weight local mean-gradients by sample count, sum across
-            // the ring, then renormalize by the global batch — exact
-            // even for ragged final batches and idle replicas. On the
-            // bucketed path both scalings are folded into the
-            // pack/unpack copies.
-            const float weight = static_cast<float>(count);
-            const float inv_total = 1.0F / static_cast<float>(total);
-
-            opt.zero_grad();
-            if (bucketer != nullptr) bucketer->begin_step(weight, inv_total);
-            int64_t backward_end_us = -1;
-            if (count > 0) {
-              Shape local_img = img_shape.with_dim(0, count);
-              Shape local_lbl = lbl_shape.with_dim(0, count);
-              NDArray images(local_img,
-                             std::span<const float>(
-                                 batch->images.data() + lo * img_per,
-                                 static_cast<size_t>(count * img_per)));
-              NDArray labels(local_lbl,
-                             std::span<const float>(
-                                 batch->labels.data() + lo * lbl_per,
-                                 static_cast<size_t>(count * lbl_per)));
-              const NDArray& pred =
-                  model.forward(images, /*training=*/true);
-              const nn::LossResult res =
-                  impl_->losses[static_cast<size_t>(i)]->compute(pred,
-                                                                 labels);
-              replica_loss[static_cast<size_t>(i)] =
-                  res.value * static_cast<double>(count);
-              {
-                DMIS_TRACE_SPAN("train.backward");
-                model.backward(res.grad);
-              }
-              backward_end_us = obs::Tracer::now_us();
-            }
-
+          // Weight local mean-gradients by sample count, sum across
+          // the ring, then renormalize by the global batch — exact
+          // even for ragged final batches and idle replicas. On the
+          // bucketed path both scalings are folded into the
+          // pack/unpack copies.
+          const float weight = static_cast<float>(count);
+          const float inv_total = 1.0F / static_cast<float>(total);
+          const auto sync = [&] {
+            const int64_t wait_begin_us = obs::Tracer::now_us();
             if (bucketer != nullptr) {
               // Buckets whose last gradient arrived mid-backward are
               // already in flight; flush the stragglers (all of them
               // for an idle replica), then drain and unpack.
-              const int64_t wait_begin_us = obs::Tracer::now_us();
               bucketer->flush();
               bucketer->wait_all();
-              sync_wait_us = obs::Tracer::now_us() - wait_begin_us;
-              record_overlap(*bucketer, backward_end_us);
             } else {
-              const int64_t wait_begin_us = obs::Tracer::now_us();
               for (nn::Param& p : model.params()) {
                 p.grad->scale_(weight);
                 comm.all_reduce_sum(p.grad->span());
                 p.grad->scale_(inv_total);
               }
-              sync_wait_us = obs::Tracer::now_us() - wait_begin_us;
             }
-            opt.set_lr(current_lr);
-            opt.step();
-            impl_->straggler->record_step(
-                i, static_cast<double>(obs::Tracer::now_us() -
-                                       step_begin_us));
-            impl_->straggler->record_wait(i,
-                                          static_cast<double>(sync_wait_us));
-          } catch (const comm::CommError&) {
-            // A peer failed (or our own deadline fired): the group is
-            // poisoned. Let go of the bucket buffers, then — in elastic
-            // mode — join the survivor agreement so every survivor
-            // leaves with the same dead-set.
-            if (bucketer != nullptr) bucketer->abandon();
-            failure.record(std::current_exception());
-            if (elastic) {
-              try {
-                std::vector<int> sealed =
-                    comm.agree_on_failures(options_.agree_grace_ms);
-                const std::lock_guard<std::mutex> lock(failure.mutex);
-                if (!failure.agreed) {
-                  failure.agreed_dead = std::move(sealed);
-                  failure.agreed = true;
-                }
-              } catch (const comm::CommError&) {
-                // Fenced out: the survivors sealed without us.
-                const std::lock_guard<std::mutex> lock(failure.mutex);
-                failure.self_dead[static_cast<size_t>(i)] = 1;
+            sync_wait_us = obs::Tracer::now_us() - wait_begin_us;
+            if (bucketer != nullptr) {
+              record_overlap(*bucketer, count > 0 ? wait_begin_us : -1);
+            }
+          };
+
+          if (bucketer != nullptr) bucketer->begin_step(weight, inv_total);
+          std::optional<data::Batch> shard;
+          if (count > 0) {
+            shard = data::Batch{rows(batch.images, lo, count),
+                                rows(batch.labels, lo, count), {}};
+          }
+          replica_loss[static_cast<size_t>(i)] =
+              impl_->steps[static_cast<size_t>(i)]->run(
+                  shard ? &*shard : nullptr, lr, sync) *
+              static_cast<double>(count);
+          impl_->straggler->record_step(
+              i, static_cast<double>(obs::Tracer::now_us() - step_begin_us));
+          impl_->straggler->record_wait(i, static_cast<double>(sync_wait_us));
+        } catch (const comm::CommError&) {
+          // A peer failed (or our own deadline fired): the group is
+          // poisoned. Let go of the bucket buffers, then — in elastic
+          // mode — join the survivor agreement so every survivor
+          // leaves with the same dead-set.
+          if (bucketer != nullptr) bucketer->abandon();
+          failure.record(std::current_exception());
+          if (elastic) {
+            try {
+              std::vector<int> sealed =
+                  comm.agree_on_failures(options_.agree_grace_ms);
+              const std::lock_guard<std::mutex> lock(failure.mutex);
+              if (!failure.agreed) {
+                failure.agreed_dead = std::move(sealed);
+                failure.agreed = true;
               }
-            }
-          } catch (const std::exception& e) {
-            // This replica itself crashed: poison the group so peers
-            // blocked in the ring wake with kPeerFailed instead of
-            // deadlocking, and report ourselves dead.
-            comm.abort(e.what());
-            if (bucketer != nullptr) bucketer->abandon();
-            {
+            } catch (const comm::CommError&) {
+              // Fenced out: the survivors sealed without us.
               const std::lock_guard<std::mutex> lock(failure.mutex);
               failure.self_dead[static_cast<size_t>(i)] = 1;
             }
-            failure.record(std::current_exception());
           }
-        });
-      }
-      for (auto& t : threads) t.join();
-
-      if (failure.happened()) {
-        if (!elastic) std::rethrow_exception(failure.first);
-        recover(failure);
-        failed_this_epoch = true;
-        break;  // replay this epoch from the restored position
-      }
-
-      double batch_loss = 0.0;
-      for (double l : replica_loss) batch_loss += l;
-      loss_sum += batch_loss / static_cast<double>(total);
-      ++steps;
-      if (elastic && options_.checkpoint_every_steps > 0 &&
-          steps % options_.checkpoint_every_steps == 0) {
-        save_state(epoch, steps, loss_sum);
-      }
+        } catch (const std::exception& e) {
+          // This replica itself crashed: poison the group so peers
+          // blocked in the ring wake with kPeerFailed instead of
+          // deadlocking, and report ourselves dead.
+          comm.abort(e.what());
+          if (bucketer != nullptr) bucketer->abandon();
+          {
+            const std::lock_guard<std::mutex> lock(failure.mutex);
+            failure.self_dead[static_cast<size_t>(i)] = 1;
+          }
+          failure.record(std::current_exception());
+        }
+      });
     }
-    train.reset();
-    if (failed_this_epoch) continue;
-    DMIS_CHECK(steps > 0, "training stream produced no batches");
+    for (auto& t : threads) t.join();
 
-    // Epoch boundary: compare the ranks' rolling step-time p50s and
-    // flag (metrics + warning) if one rank is dragging the group.
+    if (failure.happened()) {
+      if (!elastic) std::rethrow_exception(failure.first);
+      recover(failure);
+      return std::nullopt;  // replay from the restored position
+    }
+
+    double batch_loss = 0.0;
+    for (double l : replica_loss) batch_loss += l;
+    const double loss = batch_loss / static_cast<double>(total);
+    if (elastic && options_.checkpoint_every_steps > 0 &&
+        (at.steps + 1) % options_.checkpoint_every_steps == 0) {
+      save_state({at.epoch, at.steps + 1, at.loss_sum + loss});
+    }
+    return loss;
+  };
+
+  Loop<nn::UNet3d> loop;
+  loop.lead = [this]() -> ModelStep<nn::UNet3d>& {
+    return *impl_->steps.front();
+  };
+  loop.step = global_step;
+  loop.resume = &resume;
+  loop.epoch_end = [&](int64_t next_epoch, bool more) {
+    // Compare the ranks' rolling step-time p50s and flag (metrics +
+    // warning) if one rank is dragging the group.
     impl_->straggler->check();
-
-    EpochStats stats;
-    stats.epoch = epoch;
-    stats.steps = steps;
-    stats.train_loss = loss_sum / static_cast<double>(steps);
-    stats.lr = current_lr;
-    report.total_steps += steps;
-    if (val != nullptr) {
-      stats.val_dice = evaluate_dice(*replicas_.front(), *val);
-      report.best_val_dice = std::max(report.best_val_dice, *stats.val_dice);
-    }
-    report.history.push_back(stats);
-    if (callback && !callback(stats)) stop_requested = true;
-    ++epoch;
-    if (elastic) save_state(epoch, 0, 0.0);  // epoch-boundary snapshot
-    if (!stop_requested && epoch < options_.train.epochs) maybe_grow();
-  }
-  return report;
+    if (elastic) save_state({next_epoch});  // epoch-boundary snapshot
+    if (more) maybe_grow();
+  };
+  return run_epochs(options_.train, loop, train, val, callback);
 }
 
 }  // namespace dmis::train

@@ -4,8 +4,9 @@
 // (tf.MirroredStrategy within a node, Ray.SGD across nodes) and splits
 // each global batch across replicas, synchronizing gradients with an
 // allreduce every step. Here replicas are threads: each owns a full
-// model copy (identical initialization via a shared seed) and its own
-// optimizer; gradients are combined with the chunked ring allreduce
+// model copy (identical initialization via a shared seed) and runs its
+// own ModelStep (train/trainer.hpp) on its shard, with the gradient sync
+// plugged in before the optimizer step: the chunked ring allreduce
 // from dmis_comm — by default through GradBucketer, which packs them
 // into flat buckets and launches each bucket's allreduce asynchronously
 // as soon as backward finishes producing it (bucket_bytes = 0 restores
@@ -14,6 +15,11 @@
 // applies the same averaged gradient to the same parameters with the
 // same optimizer state, the replicas stay bit-identical — exactly the
 // mirrored-variable invariant of the TF strategy.
+//
+// fit() runs the shared loop with one global step: split the batch, run
+// the replica threads, capture failures. Replica 0 leads: it drives the
+// lr schedule, is validated and is what checkpoint_path saves. Gradient
+// accumulation is rejected: the bucketer fires collectives in backward.
 //
 // Failure semantics. A replica that dies mid-step poisons the comm
 // group (see comm/communicator.hpp), so every other replica surfaces a
@@ -206,9 +212,9 @@ class MirroredStrategy {
  private:
   struct Impl;
 
-  /// (Re)creates comms / losses / optimizers / bucketers / schedule for
-  /// the replicas currently in `replicas_` — at construction and after
-  /// an elastic shrink.
+  /// (Re)creates comms / replica steps / bucketers for the replicas
+  /// currently in `replicas_` — at construction and after an elastic
+  /// shrink or grow.
   void build_group();
 
   MirroredOptions options_;

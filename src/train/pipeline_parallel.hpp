@@ -1,9 +1,9 @@
 // PipelineParallelStrategy: training driver for the pipelined (model
 // parallel) U-Net — the paper's future-work direction, runnable today
-// on the real backend. API mirrors Trainer/MirroredStrategy.
+// on the real backend. Every batch is one step of the pipelined model
+// under the shared loop of train/trainer.hpp; API mirrors
+// Trainer/MirroredStrategy.
 #pragma once
-
-#include <memory>
 
 #include "nn/pipelined_unet3d.hpp"
 #include "train/trainer.hpp"
@@ -33,9 +33,7 @@ class PipelineParallelStrategy {
  private:
   PipelineParallelOptions options_;
   nn::PipelinedUNet3d model_;
-  std::unique_ptr<nn::Loss> loss_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
-  std::unique_ptr<nn::LrSchedule> schedule_;
+  ModelStep<nn::PipelinedUNet3d> step_;
 };
 
 }  // namespace dmis::train

@@ -1,10 +1,11 @@
-// Trainer: the single-device training loop.
-//
-// Drives one U-Net over a batched pipeline for a number of epochs:
-// forward, Dice-family loss, backward, optimizer step (optionally under
-// a cyclic learning-rate schedule, as the paper uses when scaling the
-// base rate), then a validation sweep computing the hard Dice score —
-// the paper's correctness reference metric.
+// The training loop, shared by Trainer (single device: every batch is
+// one step of one U-Net), MirroredStrategy and PipelineParallelStrategy.
+// ModelStep is one model's step — forward, Dice-family loss, backward,
+// an optional gradient sync, optimizer step (optionally under a cyclic
+// learning-rate schedule, as the paper uses when scaling the base
+// rate). run_epochs() loops it over epochs with a validation sweep
+// computing the hard Dice score, the paper's correctness reference
+// metric; its spans and train.* metrics count global batches.
 #pragma once
 
 #include <functional>
@@ -64,8 +65,90 @@ struct TrainReport {
 using EpochCallback = std::function<bool(const EpochStats&)>;
 
 /// Mean per-sample hard Dice of `model` over `val` (eval mode). The
-/// stream is reset afterwards so it can be reused next epoch.
-double evaluate_dice(nn::UNet3d& model, data::BatchStream& val);
+/// stream is reset afterwards so it can be reused next epoch. Defined
+/// for nn::UNet3d and nn::PipelinedUNet3d.
+template <class Model>
+double evaluate_dice(Model& model, data::BatchStream& val);
+
+/// One model's training step. Owns the model's loss, optimizer and lr
+/// schedule; defined for nn::UNet3d and nn::PipelinedUNet3d.
+template <class Model>
+class ModelStep {
+ public:
+  /// Borrows `model`. `lr` is the optimizer's rate and the schedule's
+  /// constant rate when `options.cyclic` is unset. Throws
+  /// InvalidArgument for epochs < 1 or grad_accumulation < 1.
+  ModelStep(Model& model, const TrainOptions& options, double lr);
+
+  Model& model() { return model_; }
+  nn::Optimizer& optimizer() { return *optimizer_; }
+
+  /// Scheduled learning rate for the next optimizer step.
+  double lr() const { return schedule_->lr(optimizer_->step_count()); }
+
+  /// Runs one (micro-)batch at learning rate `lr` and returns its mean
+  /// loss. A null `batch` (a replica with no samples this step) only
+  /// zeroes the gradients, syncs and steps. `sync`, when set, runs
+  /// between the last backward and the optimizer step.
+  double run(const data::Batch* batch, double lr,
+             const std::function<void()>& sync = nullptr);
+
+  /// Applies gradients still accumulating at the end of an epoch.
+  void finish() {
+    if (pending_ > 0) optimizer_->step();
+    pending_ = 0;
+  }
+
+ private:
+  Model& model_;
+  int64_t accumulation_;
+  int64_t pending_ = 0;  ///< micro-steps since the last optimizer step
+  std::unique_ptr<nn::Loss> loss_;
+  std::unique_ptr<nn::Optimizer> optimizer_;
+  std::unique_ptr<nn::LrSchedule> schedule_;
+};
+
+/// Where a fit stands: the epoch, the global steps completed in it, and
+/// the sum of their losses.
+struct LoopPosition {
+  int64_t epoch = 0;
+  int64_t steps = 0;
+  double loss_sum = 0.0;
+};
+
+/// What a driver hands run_epochs().
+template <class Model>
+struct Loop {
+  /// The step whose model is validated and checkpointed and whose
+  /// optimizer drives the lr schedule.
+  std::function<ModelStep<Model>&()> lead;
+  /// One global step on `batch` at `lr` from position `at`: the batch's
+  /// mean loss, or nullopt when abandoned (the loop then restarts from
+  /// `*resume`). Unset: the lead step runs the whole batch.
+  std::function<std::optional<double>(const data::Batch& batch, double lr,
+                                      const LoopPosition& at)>
+      step;
+  const LoopPosition* resume = nullptr;
+  /// Runs after each completed epoch: next epoch, whether training goes on.
+  std::function<void(int64_t next_epoch, bool more)> epoch_end;
+};
+
+/// Trains over `train` (reset each epoch) for `options.epochs`,
+/// evaluating on `val` per epoch when provided.
+template <class Model>
+TrainReport run_epochs(const TrainOptions& options, const Loop<Model>& loop,
+                       data::BatchStream& train, data::BatchStream* val,
+                       const EpochCallback& callback);
+
+/// run_epochs() for a driver that trains one model with `step`.
+template <class Model>
+TrainReport run_epochs(const TrainOptions& options, ModelStep<Model>& step,
+                       data::BatchStream& train, data::BatchStream* val,
+                       const EpochCallback& callback) {
+  Loop<Model> loop;
+  loop.lead = [&step]() -> ModelStep<Model>& { return step; };
+  return run_epochs(options, loop, train, val, callback);
+}
 
 class Trainer {
  public:
@@ -80,14 +163,11 @@ class Trainer {
   /// Mean hard-Dice over a validation stream (model in eval mode).
   double evaluate(data::BatchStream& val);
 
-  nn::Optimizer& optimizer() { return *optimizer_; }
+  nn::Optimizer& optimizer() { return step_.optimizer(); }
 
  private:
-  nn::UNet3d& model_;
   TrainOptions options_;
-  std::unique_ptr<nn::Loss> loss_;
-  std::unique_ptr<nn::Optimizer> optimizer_;
-  std::unique_ptr<nn::LrSchedule> schedule_;
+  ModelStep<nn::UNet3d> step_;
 };
 
 }  // namespace dmis::train

@@ -257,5 +257,19 @@ TEST(MirroredStrategyTest, RejectsBadReplicaCount) {
   EXPECT_THROW(MirroredStrategy(tiny_model(false), mopt), InvalidArgument);
 }
 
+// Options the strategy cannot honour fail at construction instead of
+// being ignored: the bucketer launches collectives mid-backward, so it
+// cannot hold gradients back for accumulation.
+TEST(MirroredStrategyTest, RejectsOptionsItCannotHonour) {
+  MirroredOptions zero_epochs;
+  zero_epochs.train.epochs = 0;
+  EXPECT_THROW(MirroredStrategy(tiny_model(false), zero_epochs),
+               InvalidArgument);
+  MirroredOptions accumulate;
+  accumulate.train.grad_accumulation = 2;
+  EXPECT_THROW(MirroredStrategy(tiny_model(false), accumulate),
+               InvalidArgument);
+}
+
 }  // namespace
 }  // namespace dmis::train

@@ -8,6 +8,8 @@
 #include "common/check.hpp"
 #include "nn/checkpoint.hpp"
 #include "tensor/rng.hpp"
+#include "train/mirrored.hpp"
+#include "train/pipeline_parallel.hpp"
 
 namespace dmis::train {
 namespace {
@@ -49,6 +51,82 @@ nn::UNet3dOptions tiny_model(uint64_t seed = 7, bool batch_norm = true) {
   opts.seed = seed;
   opts.batch_norm = batch_norm;
   return opts;
+}
+
+// The drivers that train through the shared loop. The option tests
+// below run over every driver that supports the option.
+enum class Driver { kTrainer, kMirrored, kPipeline };
+
+const char* driver_name(Driver driver) {
+  switch (driver) {
+    case Driver::kTrainer: return "Trainer";
+    case Driver::kMirrored: return "MirroredStrategy";
+    case Driver::kPipeline: return "PipelineParallelStrategy";
+  }
+  return "?";
+}
+
+std::vector<float> flat_params(const std::vector<nn::Param>& params) {
+  std::vector<float> out;
+  for (const nn::Param& p : params) {
+    out.insert(out.end(), p.value->data(),
+               p.value->data() + p.value->numel());
+  }
+  return out;
+}
+
+struct Fitted {
+  TrainReport report;
+  std::vector<float> params;  ///< trained parameters, flattened
+};
+
+// Trains a fresh model built from `model_opts` with `driver`: two
+// replicas for MirroredStrategy, two microbatches for the pipeline.
+Fitted fit_with(Driver driver, const nn::UNet3dOptions& model_opts,
+                const TrainOptions& opts, data::BatchStream& train,
+                data::BatchStream* val) {
+  switch (driver) {
+    case Driver::kTrainer: {
+      nn::UNet3d model(model_opts);
+      Trainer trainer(model, opts);
+      TrainReport report = trainer.fit(train, val);
+      return {std::move(report), flat_params(model.params())};
+    }
+    case Driver::kMirrored: {
+      MirroredOptions mopt;
+      mopt.num_replicas = 2;
+      mopt.train = opts;
+      MirroredStrategy strategy(model_opts, mopt);
+      TrainReport report = strategy.fit(train, val);
+      return {std::move(report), flat_params(strategy.model().params())};
+    }
+    case Driver::kPipeline: {
+      PipelineParallelOptions popt;
+      popt.num_microbatches = 2;
+      popt.train = opts;
+      PipelineParallelStrategy strategy(model_opts, popt);
+      TrainReport report = strategy.fit(train, val);
+      return {std::move(report), flat_params(strategy.model().params())};
+    }
+  }
+  return {};
+}
+
+// Validation Dice of the checkpoint at `path`, restored into a fresh,
+// differently seeded model of the kind `driver` trains.
+double restored_dice(Driver driver, nn::UNet3dOptions model_opts,
+                     const std::string& path, data::BatchStream& val) {
+  model_opts.seed = 99;
+  if (driver == Driver::kPipeline) {
+    nn::PipelinedUNet3d restored(model_opts, /*num_microbatches=*/2);
+    auto params = restored.checkpoint_params();
+    nn::load_checkpoint(path, params);
+    return evaluate_dice(restored, val);
+  }
+  nn::UNet3d restored(model_opts);
+  auto params = restored.checkpoint_params();
+  nn::load_checkpoint(path, params);
+  return evaluate_dice(restored, val);
 }
 
 TEST(TrainerTest, LossDecreasesAndDiceRises) {
@@ -131,76 +209,76 @@ TEST(TrainerTest, EvaluateReturnsPerSampleMeanDice) {
 }
 
 TEST(TrainerTest, CheckpointsBestWeights) {
-  const auto path =
-      std::filesystem::temp_directory_path() /
-      ("dmis_trainer_ckpt_" + std::to_string(::getpid()) + ".bin");
-  std::filesystem::remove(path);
+  for (const Driver driver :
+       {Driver::kTrainer, Driver::kMirrored, Driver::kPipeline}) {
+    SCOPED_TRACE(driver_name(driver));
+    const auto path =
+        std::filesystem::temp_directory_path() /
+        ("dmis_trainer_ckpt_" + std::to_string(::getpid()) + ".bin");
+    std::filesystem::remove(path);
 
-  nn::UNet3d model(tiny_model(3));
-  TrainOptions opts;
-  opts.epochs = 8;
-  opts.lr = 5e-3;
-  opts.checkpoint_path = path.string();
-  Trainer trainer(model, opts);
-  data::BatchStream train(data::from_examples(cube_examples(4, 6)), 2);
-  data::BatchStream val(data::from_examples(cube_examples(2, 60)), 2);
-  const TrainReport report = trainer.fit(train, &val);
-  ASSERT_TRUE(std::filesystem::exists(path));
+    TrainOptions opts;
+    opts.epochs = 8;
+    opts.lr = 5e-3;
+    opts.checkpoint_path = path.string();
+    data::BatchStream train(data::from_examples(cube_examples(4, 6)), 2);
+    data::BatchStream val(data::from_examples(cube_examples(2, 60)), 2);
+    const TrainReport report =
+        fit_with(driver, tiny_model(3), opts, train, &val).report;
+    ASSERT_TRUE(std::filesystem::exists(path));
 
-  // Restoring into a fresh (differently seeded) model must reproduce
-  // the checkpointed validation Dice — including the batch-norm running
-  // statistics, which checkpoint_params() captures.
-  nn::UNet3d restored(tiny_model(99));
-  auto params = restored.checkpoint_params();
-  nn::load_checkpoint(path.string(), params);
-  data::BatchStream val2(data::from_examples(cube_examples(2, 60)), 2);
-  const double dice = evaluate_dice(restored, val2);
-  EXPECT_NEAR(dice, report.best_val_dice, 1e-6);
-  std::filesystem::remove(path);
+    // Restoring into a fresh (differently seeded) model must reproduce
+    // the checkpointed validation Dice — including the batch-norm
+    // running statistics, which checkpoint_params() captures.
+    data::BatchStream val2(data::from_examples(cube_examples(2, 60)), 2);
+    const double dice =
+        restored_dice(driver, tiny_model(3), path.string(), val2);
+    EXPECT_NEAR(dice, report.best_val_dice, 1e-6);
+    std::filesystem::remove(path);
+  }
 }
 
 TEST(TrainerTest, EarlyStoppingOnPlateau) {
-  nn::UNet3d model(tiny_model(3));
-  TrainOptions opts;
-  opts.epochs = 100;
-  opts.lr = 1e-9;  // effectively frozen -> immediate plateau
-  opts.early_stop_patience = 3;
-  Trainer trainer(model, opts);
-  data::BatchStream train(data::from_examples(cube_examples(4, 7)), 2);
-  data::BatchStream val(data::from_examples(cube_examples(2, 70)), 2);
-  const TrainReport report = trainer.fit(train, &val);
-  EXPECT_LT(report.history.size(), 10U);  // stopped long before 100
+  for (const Driver driver :
+       {Driver::kTrainer, Driver::kMirrored, Driver::kPipeline}) {
+    SCOPED_TRACE(driver_name(driver));
+    TrainOptions opts;
+    opts.epochs = 100;
+    opts.lr = 1e-9;  // effectively frozen -> immediate plateau
+    opts.early_stop_patience = 3;
+    data::BatchStream train(data::from_examples(cube_examples(4, 7)), 2);
+    data::BatchStream val(data::from_examples(cube_examples(2, 70)), 2);
+    const TrainReport report =
+        fit_with(driver, tiny_model(3), opts, train, &val).report;
+    EXPECT_LT(report.history.size(), 10U);  // stopped long before 100
+  }
 }
 
 TEST(TrainerTest, GradAccumulationMatchesLargeBatch) {
   // Batch 4 with accumulation 1 must equal batch 2 with accumulation 2
   // when the same 4 examples flow in the same order (no batch norm, so
-  // no cross-sample coupling).
-  const auto examples = cube_examples(4, 8);
-  nn::UNet3dOptions mopts = tiny_model(3, /*batch_norm=*/false);
+  // no cross-sample coupling). MirroredStrategy cannot accumulate.
+  for (const Driver driver : {Driver::kTrainer, Driver::kPipeline}) {
+    SCOPED_TRACE(driver_name(driver));
+    const auto examples = cube_examples(4, 8);
+    const nn::UNet3dOptions mopts = tiny_model(3, /*batch_norm=*/false);
 
-  nn::UNet3d big(mopts);
-  TrainOptions big_opts;
-  big_opts.epochs = 2;
-  big_opts.lr = 1e-3;
-  Trainer big_trainer(big, big_opts);
-  data::BatchStream big_stream(data::from_examples(examples), 4);
-  big_trainer.fit(big_stream, nullptr);
+    TrainOptions big_opts;
+    big_opts.epochs = 2;
+    big_opts.lr = 1e-3;
+    data::BatchStream big_stream(data::from_examples(examples), 4);
+    const auto big =
+        fit_with(driver, mopts, big_opts, big_stream, nullptr).params;
 
-  nn::UNet3d accum(mopts);
-  TrainOptions accum_opts = big_opts;
-  accum_opts.grad_accumulation = 2;
-  Trainer accum_trainer(accum, accum_opts);
-  data::BatchStream accum_stream(data::from_examples(examples), 2);
-  accum_trainer.fit(accum_stream, nullptr);
+    TrainOptions accum_opts = big_opts;
+    accum_opts.grad_accumulation = 2;
+    data::BatchStream accum_stream(data::from_examples(examples), 2);
+    const auto accum =
+        fit_with(driver, mopts, accum_opts, accum_stream, nullptr).params;
 
-  auto big_params = big.params();
-  auto accum_params = accum.params();
-  for (size_t i = 0; i < big_params.size(); ++i) {
-    for (int64_t j = 0; j < big_params[i].value->numel(); ++j) {
-      ASSERT_NEAR((*big_params[i].value)[j], (*accum_params[i].value)[j],
-                  2e-4F)
-          << big_params[i].name << " element " << j;
+    ASSERT_EQ(big.size(), accum.size());
+    for (size_t i = 0; i < big.size(); ++i) {
+      ASSERT_NEAR(big[i], accum[i], 2e-4F) << "param element " << i;
     }
   }
 }

@@ -4,7 +4,7 @@
 # AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, conv
 # parity and gradchecks — where indexing bugs would scribble), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
-# actors/tune retries, comm collectives + async comm workers — repeated
+# tune retries, comm collectives + async comm workers — repeated
 # under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
 # choreography is raced — the gradient bucketer and mirrored strategy,
 # the fault injector, the telemetry registry/tracer, the segmentation
@@ -176,9 +176,13 @@ for required in ("tune.trial", "tune.queue_wait", "train.step",
 
 dp_events = load_events(f"{smoke_dir}/dp_trace.json")
 n_dp, dp = len(dp_events), {e["name"] for e in dp_events}
+# The DP arm emits the same step-phase spans as the single-device
+# Trainer: both run the shared loop and per-model step.
 for required in ("comm.allreduce", "comm.allreduce.reduce_scatter",
                  "comm.allreduce.all_gather", "train.backward",
-                 "train.grad_sync.overlap", "train.grad_sync.wait"):
+                 "train.grad_sync.overlap", "train.grad_sync.wait",
+                 "train.epoch", "train.step", "train.forward", "train.loss",
+                 "train.optim", "train.validate"):
     assert required in dp, f"dp trace missing {required!r}: {sorted(dp)}"
 
 # The point of the bucketed path: gradient allreduce overlaps backward.
