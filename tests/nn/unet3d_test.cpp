@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "nn/loss.hpp"
 #include "nn/metrics.hpp"
@@ -104,6 +105,20 @@ struct UNetConfig {
   NormKind norm;
 };
 
+const char* norm_tag(NormKind norm) {
+  return norm == NormKind::kBatch      ? "bn"
+         : norm == NormKind::kInstance ? "in"
+                                       : "none";
+}
+
+// gtest's default printer dumps the struct's raw bytes, padding included,
+// and that dump is part of the ctest name; print the fields instead so the
+// test IDs are the same in every build.
+void PrintTo(const UNetConfig& cfg, std::ostream* os) {
+  *os << "depth=" << cfg.depth << " filters=" << cfg.base_filters << " "
+      << norm_tag(cfg.norm);
+}
+
 class UNet3dConfigSweep : public ::testing::TestWithParam<UNetConfig> {};
 
 TEST_P(UNet3dConfigSweep, BuildsAndRuns) {
@@ -146,11 +161,9 @@ INSTANTIATE_TEST_SUITE_P(
                       UNetConfig{3, 2, NormKind::kInstance},
                       UNetConfig{4, 2, NormKind::kNone}),
     [](const ::testing::TestParamInfo<UNetConfig>& info) {
-      const char* norm = info.param.norm == NormKind::kBatch ? "bn"
-                         : info.param.norm == NormKind::kInstance ? "in"
-                                                                  : "none";
       return "d" + std::to_string(info.param.depth) + "f" +
-             std::to_string(info.param.base_filters) + "_" + norm;
+             std::to_string(info.param.base_filters) + "_" +
+             norm_tag(info.param.norm);
     });
 
 // The end-to-end learning smoke test: a tiny U-Net must overfit a single
