@@ -11,8 +11,7 @@
 //   ./examples/serve_volumes [num_workers]
 //
 // Knobs: DMIS_SERVE_WORKERS / DMIS_SERVE_QUEUE / DMIS_SERVE_DEADLINE_MS
-// / DMIS_SERVE_VOXEL_BUDGET override the defaults when no argument is
-// given (ServeOptions::from_env).
+// / DMIS_SERVE_VOXEL_BUDGET, when set, win over the options below.
 #include <cstdio>
 #include <cstdlib>
 #include <future>
@@ -30,16 +29,16 @@ int main(int argc, char** argv) {
   mopts.base_filters = 4;
   mopts.depth = 3;
 
-  serve::ServeOptions options = serve::ServeOptions::from_env();
+  serve::ServeOptions options;
   if (argc > 1) options.num_workers = std::atoi(argv[1]);
   if (options.num_workers < 1) options.num_workers = 2;
   options.default_deadline_ms = 10000;
 
-  std::printf("starting server: %d workers, queue %lld, deadline %lldms\n",
-              options.num_workers,
-              static_cast<long long>(options.queue_capacity),
-              static_cast<long long>(options.default_deadline_ms));
   serve::SegmentationServer server(mopts, /*checkpoint_path=*/"", options);
+  std::printf("started server: %d workers, queue %lld, deadline %lldms\n",
+              server.options().num_workers,
+              static_cast<long long>(server.options().queue_capacity),
+              static_cast<long long>(server.options().default_deadline_ms));
 
   data::PhantomOptions popts;
   popts.depth = 11;

@@ -2,14 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 
 namespace dmis::comm {
@@ -19,21 +20,6 @@ int pow2_floor(int n) {
   int p = 1;
   while (p * 2 <= n) p *= 2;
   return p;
-}
-
-std::optional<double> env_positive_double(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  DMIS_CHECK(end != env && *end == '\0' && v > 0.0,
-             name << " must be a positive number, got '" << env << "'");
-  return v;
-}
-
-bool calibration_enabled() {
-  const char* env = std::getenv("DMIS_COMM_CALIB");
-  return !(env != nullptr && std::strcmp(env, "0") == 0);
 }
 
 // Barrier latency: a 4-rank barrier storm over a throwaway ring group.
@@ -138,7 +124,7 @@ CommCostParams CommCostParams::defaults() { return CommCostParams{}; }
 const CommCostParams& CommCostParams::calibrated() {
   static const CommCostParams params = [] {
     CommCostParams p = defaults();
-    if (calibration_enabled()) {
+    if (knobs::get<bool>(Knob::kCommCalib)) {
       p.sync_us = measure_sync_us();
       p.reduce_gbs = measure_gbs(/*reduce=*/true);
       p.copy_gbs = measure_gbs(/*reduce=*/false);
@@ -148,23 +134,16 @@ const CommCostParams& CommCostParams::calibrated() {
       p.fp16_pack_gbs = measure_fp16_pack_gbs();
       p.fp16_reduce_gbs = measure_fp16_reduce_gbs();
     }
-    if (const auto v = env_positive_double("DMIS_COMM_SYNC_US")) {
-      p.sync_us = *v;
-      p.inter_sync_us = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_REDUCE_GBS")) {
-      p.reduce_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_COPY_GBS")) {
-      p.copy_gbs = *v;
-      p.inter_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_FP16_PACK_GBS")) {
-      p.fp16_pack_gbs = *v;
-    }
-    if (const auto v = env_positive_double("DMIS_COMM_FP16_REDUCE_GBS")) {
-      p.fp16_reduce_gbs = *v;
-    }
+    const auto pin = [](Knob knob, std::initializer_list<double*> fields) {
+      if (const auto v = knobs::find<double>(knob)) {
+        for (double* field : fields) *field = *v;
+      }
+    };
+    pin(Knob::kCommSyncUs, {&p.sync_us, &p.inter_sync_us});
+    pin(Knob::kCommReduceGbs, {&p.reduce_gbs});
+    pin(Knob::kCommCopyGbs, {&p.copy_gbs, &p.inter_gbs});
+    pin(Knob::kCommFp16PackGbs, {&p.fp16_pack_gbs});
+    pin(Knob::kCommFp16ReduceGbs, {&p.fp16_reduce_gbs});
     DMIS_LOG(kInfo) << "comm tuner calibrated: sync=" << p.sync_us
                    << "us reduce=" << p.reduce_gbs << "GB/s copy="
                    << p.copy_gbs << "GB/s fp16_pack=" << p.fp16_pack_gbs

@@ -13,14 +13,9 @@
 // Calibration: the alphas/betas default to a one-shot process-wide
 // micro-benchmark (a barrier storm for alpha, streamed add/copy loops
 // for the betas, codec loops for the fp16 wire terms) so `auto` adapts
-// to the host. Knobs:
-//   DMIS_COMM_CALIB=0        skip the micro-benchmark, use defaults
-//   DMIS_COMM_SYNC_US=<f>    pin the barrier latency (us)
-//   DMIS_COMM_REDUCE_GBS=<f> pin the accumulate bandwidth (GB/s)
-//   DMIS_COMM_COPY_GBS=<f>   pin the copy bandwidth (GB/s)
-//   DMIS_COMM_FP16_PACK_GBS=<f>   pin the fp32<->fp16 codec rate (GB/s)
-//   DMIS_COMM_FP16_REDUCE_GBS=<f> pin the fp16 wire accumulate (GB/s)
-// Pinned values make choose() fully deterministic for tests.
+// to the host. DMIS_COMM_CALIB=0 skips the micro-benchmark; the
+// DMIS_COMM_*_US / *_GBS knobs pin single parameters, which makes
+// choose() fully deterministic for tests.
 #pragma once
 
 #include <cstddef>

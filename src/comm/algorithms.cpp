@@ -1,7 +1,6 @@
 #include "comm/algorithms.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -19,35 +18,6 @@ const char* all_reduce_algo_name(AllReduceAlgo algo) {
     case AllReduceAlgo::kAuto: return "auto";
   }
   return "?";
-}
-
-std::optional<AllReduceAlgo> parse_all_reduce_algo(const std::string& name) {
-  if (name == "ring") return AllReduceAlgo::kRing;
-  if (name == "tree") return AllReduceAlgo::kTree;
-  if (name == "hier") return AllReduceAlgo::kHier;
-  if (name == "auto") return AllReduceAlgo::kAuto;
-  return std::nullopt;
-}
-
-std::optional<AllReduceAlgo> env_all_reduce_algo() {
-  const char* env = std::getenv("DMIS_COMM_ALGO");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  const auto algo = parse_all_reduce_algo(env);
-  DMIS_CHECK(algo.has_value(),
-             "DMIS_COMM_ALGO must be ring|tree|hier|auto, got '" << env
-                                                                 << "'");
-  return algo;
-}
-
-std::optional<int> env_ranks_per_node() {
-  const char* env = std::getenv("DMIS_COMM_RANKS_PER_NODE");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0' && v >= 0,
-             "DMIS_COMM_RANKS_PER_NODE must be a non-negative rank count, "
-             "got '" << env << "'");
-  return static_cast<int>(v);
 }
 
 int node_of(int rank, int ranks_per_node) {

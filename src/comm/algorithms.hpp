@@ -32,9 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "comm/compress.hpp"
@@ -53,19 +51,8 @@ enum class AllReduceAlgo : uint8_t {
   kAuto = 3,
 };
 
-/// "ring" / "tree" / "hier" / "auto".
+/// "ring" / "tree" / "hier" / "auto" (the DMIS_COMM_ALGO words).
 const char* all_reduce_algo_name(AllReduceAlgo algo);
-
-/// Inverse of all_reduce_algo_name; nullopt on anything else.
-std::optional<AllReduceAlgo> parse_all_reduce_algo(const std::string& name);
-
-/// DMIS_COMM_ALGO if set (must parse, else DMIS_CHECK fires); nullopt
-/// when unset/empty. The env override always wins over GroupOptions.
-std::optional<AllReduceAlgo> env_all_reduce_algo();
-
-/// DMIS_COMM_RANKS_PER_NODE if set (>= 0; 0 = flat/single-node);
-/// nullopt when unset/empty.
-std::optional<int> env_ranks_per_node();
 
 /// One all-reduce schedule. Stateless; the Communicator hands each
 /// rank's view of the rendezvous machinery in via CollectiveOps. On

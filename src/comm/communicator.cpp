@@ -1,7 +1,6 @@
 #include "comm/communicator.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <sstream>
@@ -9,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
+#include "common/knobs.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -85,17 +85,6 @@ void note_async_inflight(int64_t delta) {
   CommMetrics::get().async_inflight.set(static_cast<double>(inflight));
 }
 
-int64_t env_timeout_ms() {
-  const char* env = std::getenv("DMIS_COMM_TIMEOUT_MS");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0' && v >= 0,
-             "DMIS_COMM_TIMEOUT_MS must be a non-negative millisecond "
-             "count, got '" << env << "'");
-  return static_cast<int64_t>(v);
-}
-
 }  // namespace
 
 const char* comm_error_kind_name(CommErrorKind kind) {
@@ -153,37 +142,27 @@ void wait_all(std::vector<AsyncRequest>& requests) {
   if (first) std::rethrow_exception(first);
 }
 
-CollectiveContext::CollectiveContext(int size, int64_t timeout_ms)
-    : CollectiveContext(size, [&] {
-        GroupOptions options;
-        options.timeout_ms = timeout_ms;
-        return options;
-      }()) {}
-
 CollectiveContext::CollectiveContext(int size, const GroupOptions& options)
     : size_(size),
-      timeout_ms_(options.timeout_ms < 0 ? env_timeout_ms()
-                                         : options.timeout_ms),
+      ranks_per_node_(size),
       ptrs_(static_cast<size_t>(size), nullptr),
       cptrs_(static_cast<size_t>(size), nullptr),
       sizes_(static_cast<size_t>(size), 0),
       rank_state_(static_cast<size_t>(size)),
       agree_joined_(static_cast<size_t>(size), false) {
   DMIS_CHECK(size >= 1, "communicator group needs >= 1 rank, got " << size);
-  // Env overrides beat the explicit options — the operator's knob must
-  // not lose to a hard-coded GroupOptions in some call site. Internal
-  // groups (the tuner's calibration probes) are the one exception:
-  // resolving their pinned ring back through DMIS_COMM_ALGO=auto would
-  // recurse into the calibration constructing them.
-  algo_ = options.internal
-              ? options.algo.value_or(AllReduceAlgo::kRing)
-              : env_all_reduce_algo().value_or(
-                    options.algo.value_or(AllReduceAlgo::kRing));
-  const int opt_rpn = options.ranks_per_node < 0 ? 0 : options.ranks_per_node;
-  const int rpn = options.internal
-                      ? opt_rpn
-                      : env_ranks_per_node().value_or(opt_rpn);
-  ranks_per_node_ = (rpn <= 0 || rpn > size) ? size : rpn;
+  if (options.internal) {
+    // The tuner's calibration probes skip the env: DMIS_COMM_ALGO=auto
+    // would recurse into the calibration constructing them.
+    timeout_ms_ = options.timeout_ms.value_or(0);
+    algo_ = options.algo.value();
+  } else {
+    timeout_ms_ = knobs::get<int64_t>(Knob::kCommTimeoutMs, options.timeout_ms);
+    algo_ = knobs::get<AllReduceAlgo>(Knob::kCommAlgo, options.algo);
+    const int rpn =
+        knobs::get<int>(Knob::kCommRanksPerNode, options.ranks_per_node);
+    if (rpn > 0 && rpn < size) ranks_per_node_ = rpn;
+  }
   // The tuner only pays for calibration when auto is actually in play
   // (calibration itself builds a throwaway ring group — a concrete
   // algorithm here is what keeps that from recursing).
@@ -705,7 +684,8 @@ std::vector<float> Communicator::all_gather_impl(
   return out;
 }
 
-std::vector<Communicator> make_group(int size, int64_t timeout_ms) {
+std::vector<Communicator> make_group(int size,
+                                     std::optional<int64_t> timeout_ms) {
   GroupOptions options;
   options.timeout_ms = timeout_ms;
   return make_group(size, options);

@@ -80,27 +80,26 @@ namespace dmis::comm {
 class CollectiveContext;
 class Communicator;
 
-/// Group construction knobs. The DMIS_COMM_ALGO / DMIS_COMM_RANKS_PER_NODE
-/// env overrides always win over the explicit fields here — an operator
-/// retuning a deployment must not lose to a hard-coded option.
+/// Group construction knobs: the first three fields are the
+/// DMIS_COMM_TIMEOUT_MS / DMIS_COMM_ALGO / DMIS_COMM_RANKS_PER_NODE knobs
+/// (common/knobs.hpp).
 struct GroupOptions {
-  /// Per-collective deadline: < 0 resolves DMIS_COMM_TIMEOUT_MS
-  /// (unset/empty -> 0), 0 waits forever.
-  int64_t timeout_ms = -1;
-  /// All-reduce schedule; unset -> ring (the bitwise-stable default).
-  /// kAuto enables the AlgoTuner. Env DMIS_COMM_ALGO wins.
+  /// Per-collective deadline in ms; 0 waits forever (the default).
+  std::optional<int64_t> timeout_ms;
+  /// All-reduce schedule; ring (the bitwise-stable default), or kAuto
+  /// for the AlgoTuner.
   std::optional<AllReduceAlgo> algo;
   /// Logical ranks per node for the hierarchical algorithm and the
-  /// tuner's topology: -1 resolves DMIS_COMM_RANKS_PER_NODE, 0 = flat
-  /// (single node). Env wins over an explicit value.
-  int ranks_per_node = -1;
+  /// tuner's topology; 0 = flat (single node, the default).
+  std::optional<int> ranks_per_node;
   /// Pinned tuner cost parameters (tests / simulation studies);
   /// unset -> CommCostParams::calibrated() when kAuto is in play.
   std::optional<CommCostParams> cost;
-  /// Skip DMIS_COMM_ALGO / DMIS_COMM_RANKS_PER_NODE resolution. Set by
-  /// the tuner's own calibration groups: under `DMIS_COMM_ALGO=auto`
-  /// the env would otherwise override their pinned ring back to auto
-  /// and recurse into the calibration that is constructing them.
+  /// A flat group running the `algo` it names (which must be set) with
+  /// no deadline unless `timeout_ms` names one, whatever the env says.
+  /// Set by the tuner's own calibration groups: under
+  /// `DMIS_COMM_ALGO=auto` the env would otherwise turn their ring back
+  /// into auto and recurse into the calibration constructing them.
   bool internal = false;
 };
 
@@ -172,10 +171,7 @@ void wait_all(std::vector<AsyncRequest>& requests);
 /// Shared rendezvous state for one group of ranks.
 class CollectiveContext {
  public:
-  /// `timeout_ms` is the per-collective deadline: < 0 resolves
-  /// DMIS_COMM_TIMEOUT_MS (unset/empty -> 0), 0 waits forever.
-  explicit CollectiveContext(int size, int64_t timeout_ms = -1);
-  /// Full-knob constructor; env overrides resolve here, once.
+  /// The knobs resolve here, once.
   CollectiveContext(int size, const GroupOptions& options);
   ~CollectiveContext();
 
@@ -187,8 +183,8 @@ class CollectiveContext {
   /// Effective per-collective deadline in ms (0 = none).
   int64_t timeout_ms() const { return timeout_ms_; }
 
-  /// Resolved all-reduce algorithm (env > options > ring). kAuto means
-  /// the tuner picks per message size.
+  /// Resolved all-reduce algorithm. kAuto means the tuner picks per
+  /// message size.
   AllReduceAlgo algo() const { return algo_; }
 
   /// Effective ranks per node in [1, size]: size when flat.
@@ -458,8 +454,9 @@ class Communicator {
 };
 
 /// Creates one communicator per rank over a fresh shared context.
-/// `timeout_ms` < 0 resolves DMIS_COMM_TIMEOUT_MS (unset -> no deadline).
-std::vector<Communicator> make_group(int size, int64_t timeout_ms = -1);
+/// `timeout_ms` is the per-collective deadline (GroupOptions).
+std::vector<Communicator> make_group(int size,
+                                     std::optional<int64_t> timeout_ms = {});
 
 /// Same, with the full knob set (algorithm, topology, tuner params).
 std::vector<Communicator> make_group(int size, const GroupOptions& options);

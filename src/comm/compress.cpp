@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -364,40 +363,6 @@ const char* compress_mode_name(CompressMode mode) {
     case CompressMode::kTopK: return "topk";
   }
   return "?";
-}
-
-std::optional<CompressMode> parse_compress_mode(const std::string& name) {
-  if (name == "none") return CompressMode::kNone;
-  if (name == "fp16") return CompressMode::kFp16;
-  if (name == "topk") return CompressMode::kTopK;
-  return std::nullopt;
-}
-
-std::optional<CompressMode> env_compress_mode() {
-  const char* env = std::getenv("DMIS_COMPRESS");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  const auto mode = parse_compress_mode(env);
-  DMIS_CHECK(mode.has_value(),
-             "DMIS_COMPRESS must be none|fp16|topk, got '" << env << "'");
-  return mode;
-}
-
-std::optional<double> env_topk_ratio() {
-  const char* env = std::getenv("DMIS_TOPK_RATIO");
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(env, &end);
-  DMIS_CHECK(end != env && *end == '\0' && v > 0.0 && v <= 1.0,
-             "DMIS_TOPK_RATIO must be in (0, 1], got '" << env << "'");
-  return v;
-}
-
-CompressOptions CompressOptions::resolved(CompressOptions configured) {
-  if (const auto mode = env_compress_mode()) configured.mode = *mode;
-  if (const auto ratio = env_topk_ratio()) configured.topk_ratio = *ratio;
-  DMIS_CHECK(configured.topk_ratio > 0.0 && configured.topk_ratio <= 1.0,
-             "topk_ratio must be in (0, 1], got " << configured.topk_ratio);
-  return configured;
 }
 
 // ---------------------------------------------------------------------

@@ -23,18 +23,18 @@
 //    async comm-worker path for free.
 //
 // Selection: DMIS_COMPRESS=none|fp16|topk (+ DMIS_TOPK_RATIO for the
-// sparsity, default 0.01) — env wins over configured options, same
-// contract as DMIS_COMM_ALGO. The codec cost and the compressed byte
-// counts also feed the AlgoTuner and the cluster DES (comm_sim), so
-// `auto` ranks algorithms with compression in the loop.
+// sparsity) or CompressOptions (common/knobs.hpp). The codec cost and
+// the compressed byte counts also feed the AlgoTuner and the cluster
+// DES (comm_sim), so `auto` ranks algorithms with compression in the
+// loop.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string>
+
+#include "common/knobs.hpp"
 
 namespace dmis::comm {
 
@@ -101,28 +101,15 @@ enum class CompressMode : uint8_t {
   kTopK = 2,
 };
 
-/// "none" / "fp16" / "topk".
+/// "none" / "fp16" / "topk" (the DMIS_COMPRESS words).
 const char* compress_mode_name(CompressMode mode);
 
-/// Inverse of compress_mode_name; nullopt on anything else.
-std::optional<CompressMode> parse_compress_mode(const std::string& name);
-
-/// DMIS_COMPRESS if set (must parse, else DMIS_CHECK fires); nullopt
-/// when unset/empty. The env override always wins over configuration.
-std::optional<CompressMode> env_compress_mode();
-
-/// DMIS_TOPK_RATIO if set (must be in (0, 1]); nullopt when unset.
-std::optional<double> env_topk_ratio();
-
-/// Compression knobs as configured by the caller; resolved() applies
-/// the env overrides (mirrors GroupOptions / effective_bucket_bytes).
+/// The DMIS_COMPRESS / DMIS_TOPK_RATIO knobs as configured by the
+/// caller; GradBucketer resolves them.
 struct CompressOptions {
-  CompressMode mode = CompressMode::kNone;
+  CompressMode mode = knobs::default_value<CompressMode>(Knob::kCompress);
   /// Fraction of each bucket's entries a top-k rank sends (>= 1 entry).
-  double topk_ratio = 0.01;
-
-  /// `configured` with DMIS_COMPRESS / DMIS_TOPK_RATIO applied on top.
-  static CompressOptions resolved(CompressOptions configured);
+  double topk_ratio = knobs::default_value<double>(Knob::kTopkRatio);
 };
 
 // ---------------------------------------------------------------------

@@ -2,28 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 
 namespace dmis::comm {
 namespace {
-
-int64_t resolve_lease_ms(int64_t configured) {
-  const char* env = std::getenv("DMIS_COMM_LEASE_MS");
-  if (env != nullptr && *env != '\0') {
-    const int64_t v = std::strtoll(env, nullptr, 10);
-    DMIS_CHECK(v > 0, "DMIS_COMM_LEASE_MS must be > 0, got '" << env << "'");
-    return v;
-  }
-  if (configured >= 0) {
-    DMIS_CHECK(configured > 0, "lease_ms must be > 0, got " << configured);
-    return configured;
-  }
-  return 2000;
-}
 
 std::string dims_str(const std::vector<int64_t>& dims) {
   std::ostringstream os;
@@ -71,12 +57,13 @@ std::string describe_signature_mismatch(const WorldSignature& world,
 }
 
 MembershipService::MembershipService(int world, WorldSignature signature,
-                                     int64_t lease_ms)
+                                     std::optional<int64_t> lease_ms)
     : signature_(std::move(signature)),
-      lease_ms_(resolve_lease_ms(lease_ms)),
+      lease_ms_(knobs::get<int64_t>(Knob::kCommLeaseMs, lease_ms)),
       world_(world),
       lease_us_(static_cast<size_t>(world), 0) {
   DMIS_CHECK(world >= 1, "membership needs >= 1 rank, got " << world);
+  DMIS_CHECK(lease_ms_ > 0, "lease_ms must be > 0, got " << lease_ms_);
 }
 
 MembershipService::~MembershipService() { shutdown(); }

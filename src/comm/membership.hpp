@@ -9,7 +9,7 @@
 // (Horovod Elastic, TorchElastic's rendezvous):
 //
 //  * Leases. Every rank of the current world holds a *lease* that must
-//    be renewed within `lease_ms` (DMIS_COMM_LEASE_MS, default 2000).
+//    be renewed within `lease_ms` (DMIS_COMM_LEASE_MS).
 //    The driver renews leases off the communicator's existing heartbeat
 //    table (CollectiveContext::last_beat_us — stamped at every
 //    collective entry), so a rank that stops making collective progress
@@ -47,6 +47,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -99,9 +100,8 @@ struct JoinTicket {
 
 class MembershipService {
  public:
-  /// `lease_ms` < 0 resolves DMIS_COMM_LEASE_MS (unset -> 2000).
   MembershipService(int world, WorldSignature signature,
-                    int64_t lease_ms = -1);
+                    std::optional<int64_t> lease_ms = std::nullopt);
   ~MembershipService();
 
   MembershipService(const MembershipService&) = delete;

@@ -3,26 +3,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include "common/knobs.hpp"
 
 namespace dmis {
 namespace {
 
-LogLevel level_from_env() {
-  const char* env = std::getenv("DMIS_LOG_LEVEL");
-  if (env == nullptr) return LogLevel::kInfo;
-  if (std::strcmp(env, "TRACE") == 0) return LogLevel::kTrace;
-  if (std::strcmp(env, "DEBUG") == 0) return LogLevel::kDebug;
-  if (std::strcmp(env, "INFO") == 0) return LogLevel::kInfo;
-  if (std::strcmp(env, "WARN") == 0) return LogLevel::kWarn;
-  if (std::strcmp(env, "ERROR") == 0) return LogLevel::kError;
-  if (std::strcmp(env, "OFF") == 0) return LogLevel::kOff;
-  return LogLevel::kInfo;
-}
-
-std::atomic<int> g_level{static_cast<int>(level_from_env())};
+std::atomic<int> g_level{
+    static_cast<int>(knobs::get<LogLevel>(Knob::kLogLevel))};
 std::mutex g_emit_mutex;
 LogSink g_sink;  // guarded by g_emit_mutex; empty -> stderr
 std::atomic<int> g_next_thread_tag{0};

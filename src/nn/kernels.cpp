@@ -1,27 +1,15 @@
 #include "nn/kernels.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <string_view>
 
-#include "common/check.hpp"
+#include "common/knobs.hpp"
 
 namespace dmis::nn {
 namespace {
 
-KernelBackend parse_env() {
-  const char* env = std::getenv("DMIS_KERNEL");
-  if (env == nullptr || *env == '\0') return KernelBackend::kGemm;
-  const std::string_view v(env);
-  if (v == "gemm") return KernelBackend::kGemm;
-  if (v == "naive") return KernelBackend::kNaive;
-  DMIS_CHECK(false, "DMIS_KERNEL must be 'naive' or 'gemm', got '" << v
-                                                                   << "'");
-  return KernelBackend::kGemm;  // unreachable
-}
-
 std::atomic<KernelBackend>& backend_slot() {
-  static std::atomic<KernelBackend> slot{parse_env()};
+  static std::atomic<KernelBackend> slot{
+      knobs::get<KernelBackend>(Knob::kKernel)};
   return slot;
 }
 

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +12,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/json.hpp"
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry_server.hpp"
@@ -20,18 +21,6 @@
 
 namespace dmis::obs {
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
 
 /// Strips the trailing newline render_spans()/render_healthz() append,
 /// so the fragment embeds cleanly inside the dump object.
@@ -105,11 +94,6 @@ void install_if_default(int signo) {
   ::sigaction(signo, &action, nullptr);
 }
 
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && *v != '\0';
-}
-
 }  // namespace
 
 FlightRecorder& FlightRecorder::instance() {
@@ -176,6 +160,7 @@ std::string FlightRecorder::dump(const std::string& trigger) {
   std::ostringstream metrics;
   MetricsRegistry::instance().dump_jsonl(metrics);
   os << ",\"metrics\":" << jsonl_to_array(metrics.str());
+  os << ",\"config\":" << knobs::config_json();
   os << ",\"health\":{";
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -240,8 +225,9 @@ void install_telemetry_signal_handlers() {
   const std::lock_guard<std::mutex> lock(install_mutex);
 
   const bool recorder_armed = FlightRecorder::instance().enabled();
-  const bool telemetry_configured = recorder_armed || env_set("DMIS_METRICS") ||
-                                    env_set("DMIS_TRACE");
+  const bool telemetry_configured =
+      recorder_armed || knobs::find<std::string>(Knob::kMetrics) ||
+      knobs::find<std::string>(Knob::kTrace);
   if (!telemetry_configured) return;
 
   if (!watcher_started) {
@@ -270,9 +256,8 @@ namespace {
 // the metrics/trace/server bootstraps. Runs after instance() can
 // complete, so configure()'s re-entry into instance() is safe here.
 const bool g_flight_recorder_bootstrapped = [] {
-  if (const char* dir = std::getenv("DMIS_FLIGHT_DIR");
-      dir != nullptr && *dir != '\0') {
-    FlightRecorder::instance().configure(dir);
+  if (const auto dir = knobs::find<std::string>(Knob::kFlightDir)) {
+    FlightRecorder::instance().configure(*dir);
   }
   install_telemetry_signal_handlers();
   return true;

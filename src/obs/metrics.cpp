@@ -6,6 +6,8 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
+#include "common/knobs.hpp"
 #include "obs/rolling.hpp"
 
 namespace dmis::obs {
@@ -17,18 +19,6 @@ void atomic_add(std::atomic<double>& target, double delta) {
   double cur = target.load(std::memory_order_relaxed);
   while (!target.compare_exchange_weak(cur, cur + delta,
                                        std::memory_order_relaxed)) {
-  }
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
   }
 }
 
@@ -111,14 +101,15 @@ void Histogram::reset() {
 }
 
 bool dump_metrics_to_env_path_once() {
-  const char* path = std::getenv("DMIS_METRICS");
-  if (path == nullptr || *path == '\0') return false;
+  const std::optional<std::string> path =
+      knobs::find<std::string>(Knob::kMetrics);
+  if (!path.has_value()) return false;
   // The once-guard makes the atexit hook, the SIGINT/SIGTERM handlers
   // and any explicit caller idempotent: whoever gets here first writes
   // the file, everyone else is a no-op.
   static std::atomic<bool> dumped{false};
   if (dumped.exchange(true, std::memory_order_acq_rel)) return false;
-  MetricsRegistry::instance().dump_jsonl(std::string(path));
+  MetricsRegistry::instance().dump_jsonl(*path);
   return true;
 }
 
@@ -127,8 +118,7 @@ MetricsRegistry& MetricsRegistry::instance() {
   // and the atexit dump hook registered just below.
   static MetricsRegistry* registry = [] {
     auto* r = new MetricsRegistry();
-    if (const char* path = std::getenv("DMIS_METRICS");
-        path != nullptr && *path != '\0') {
+    if (knobs::find<std::string>(Knob::kMetrics).has_value()) {
       std::atexit([] { dump_metrics_to_env_path_once(); });
     }
     return r;

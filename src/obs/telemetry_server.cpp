@@ -17,6 +17,8 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,18 +36,6 @@ std::string fmt_num(double v) {
   std::ostringstream os;
   os << v;
   return os.str();
-}
-
-void json_escape(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << *s;
-    }
-  }
 }
 
 /// One exposition family: a # TYPE line followed by its samples. Rows
@@ -180,12 +170,12 @@ std::string TelemetryServer::render_metrics() {
                            fmt_num(rh.rate_per_sec));
   }
 
-  const char* flight_dir = std::getenv("DMIS_FLIGHT_DIR");
   Family& info = families["dmis_telemetry_build_info"];
   info.type = "gauge";
   info.samples.push_back(
       "dmis_telemetry_build_info{version=\"pv2\",flight_dir=\"" +
-      prometheus_escape_label(flight_dir == nullptr ? "" : flight_dir) +
+      prometheus_escape_label(
+          knobs::find<std::string>(Knob::kFlightDir).value_or("")) +
       "\"} 1");
 
   std::ostringstream os;
@@ -345,10 +335,13 @@ void TelemetryServer::handle_connection(int fd) {
   } else if (path == "/spans") {
     content_type = "application/json";
     body = render_spans();
+  } else if (path == "/config") {
+    content_type = "application/json";
+    body = knobs::config_json();
   } else {
     status = 404;
     content_type = "text/plain; charset=utf-8";
-    body = "not found (try /metrics, /healthz, /spans)\n";
+    body = "not found (try /metrics, /healthz, /spans, /config)\n";
   }
 
   const char* reason = (status == 200)   ? "OK"
@@ -372,49 +365,33 @@ void TelemetryServer::handle_connection(int fd) {
   ::close(fd);
 }
 
-TelemetryServer* TelemetryServer::from_env() {
-  static TelemetryServer* server = []() -> TelemetryServer* {
-    const char* env = std::getenv("DMIS_OBS_PORT");
-    if (env == nullptr || *env == '\0') return nullptr;
-    const long port = std::strtol(env, nullptr, 10);
-    if (port < 0 || port > 65535) {
-      DMIS_LOG(kWarn) << "DMIS_OBS_PORT=" << env
-                      << " is not a valid port; telemetry server disabled";
-      return nullptr;
-    }
-    TelemetryServer* s = nullptr;
-    try {
-      s = new TelemetryServer(static_cast<uint16_t>(port));
-    } catch (const Error& e) {
-      DMIS_LOG(kWarn) << "telemetry server disabled: " << e.what();
-      return nullptr;
-    }
-    DMIS_LOG(kInfo) << "telemetry server serving /metrics /healthz /spans "
-                       "on port "
-                    << s->port();
-    if (const char* linger_env = std::getenv("DMIS_OBS_LINGER_MS");
-        linger_env != nullptr && *linger_env != '\0') {
-      static long linger_ms = std::strtol(linger_env, nullptr, 10);
-      if (linger_ms > 0) {
-        // Keep serving through process exit so a polling scraper can
-        // take a final scrape after all counters settled — the
-        // live-scrape/TuneResult reconciliation in tools/verify.sh
-        // depends on this window.
-        std::atexit([] {
-          std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
-        });
-      }
-    }
-    return s;
-  }();
-  return server;
-}
-
 namespace {
-// Start the DMIS_OBS_PORT server at program start, mirroring the
-// DMIS_METRICS / DMIS_TRACE bootstraps.
-const bool g_telemetry_server_bootstrapped =
-    (TelemetryServer::from_env(), true);
+// Start the DMIS_OBS_PORT server (leaked) at program start, mirroring
+// the DMIS_METRICS / DMIS_TRACE bootstraps.
+const TelemetryServer* const g_telemetry_server = []() -> TelemetryServer* {
+  const std::optional<int> port = knobs::find<int>(Knob::kObsPort);
+  if (!port.has_value()) return nullptr;
+  TelemetryServer* s = nullptr;
+  try {
+    s = new TelemetryServer(static_cast<uint16_t>(*port));
+  } catch (const Error& e) {
+    DMIS_LOG(kWarn) << "telemetry server disabled: " << e.what();
+    return nullptr;
+  }
+  DMIS_LOG(kInfo) << "telemetry server serving /metrics /healthz /spans "
+                     "/config on port "
+                  << s->port();
+  static const int64_t linger_ms = knobs::get<int64_t>(Knob::kObsLingerMs);
+  if (linger_ms > 0) {
+    // Keep serving through process exit so a polling scraper can take a
+    // final scrape after all counters settled — the live-scrape/
+    // TuneResult reconciliation in tools/verify.sh depends on this.
+    std::atexit([] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(linger_ms));
+    });
+  }
+  return s;
+}();
 }  // namespace
 
 }  // namespace dmis::obs

@@ -1,6 +1,6 @@
 // Embedded HTTP telemetry exporter.
 //
-// TelemetryServer binds a plain TCP socket and serves three read-only
+// TelemetryServer binds a plain TCP socket and serves four read-only
 // endpoints from a background accept thread:
 //
 //   /metrics  Prometheus text exposition (version 0.0.4) of every
@@ -13,6 +13,8 @@
 //             train's elastic world-size gauge.
 //   /spans    JSON snapshot of the trace ring buffers (most recent
 //             spans, capped).
+//   /config   JSON of every DMIS_* knob's effective value and its
+//             source, env or default (knobs::config_json()).
 //
 // Setting DMIS_OBS_PORT=<port> starts a process-wide server at static
 // init (port 0 picks an ephemeral port; the bound port is logged).
@@ -67,10 +69,6 @@ class TelemetryServer {
   /// Escapes a label value per the exposition format
   /// (backslash, double-quote, newline).
   static std::string prometheus_escape_label(const std::string& value);
-
-  /// Process-wide server bootstrapped from DMIS_OBS_PORT; nullptr when
-  /// the variable is unset. Constructed (and leaked) on first call.
-  static TelemetryServer* from_env();
 
  private:
   void serve_loop();

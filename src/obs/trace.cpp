@@ -6,6 +6,8 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 
 namespace dmis::obs {
@@ -46,15 +48,6 @@ struct TlsBufferHandle {
 
 thread_local TlsBufferHandle tls_handle;
 
-size_t capacity_from_env() {
-  if (const char* env = std::getenv("DMIS_TRACE_BUFFER");
-      env != nullptr && *env != '\0') {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v > 0) return static_cast<size_t>(v);
-  }
-  return 65536;
-}
-
 void fill_event(TraceEvent& ev, const char* name, int64_t ts_us,
                 int64_t dur_us, bool instant,
                 std::initializer_list<TraceArg> args) {
@@ -70,28 +63,17 @@ void fill_event(TraceEvent& ev, const char* name, int64_t ts_us,
   }
 }
 
-void json_escape(std::ostream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    switch (*s) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << *s;
-    }
-  }
-}
-
 }  // namespace
 
-Tracer::Tracer() : capacity_(capacity_from_env()) {}
+Tracer::Tracer() : capacity_(knobs::get<size_t>(Knob::kTraceBuffer)) {}
 
 bool Tracer::write_trace_to_env_path_once() {
-  const char* path = std::getenv("DMIS_TRACE");
-  if (path == nullptr || *path == '\0') return false;
+  const std::optional<std::string> path =
+      knobs::find<std::string>(Knob::kTrace);
+  if (!path.has_value()) return false;
   static std::atomic<bool> written{false};
   if (written.exchange(true, std::memory_order_acq_rel)) return false;
-  Tracer::instance().write_chrome_trace(std::string(path));
+  Tracer::instance().write_chrome_trace(*path);
   return true;
 }
 
@@ -100,8 +82,7 @@ Tracer& Tracer::instance() {
   // handles of late-exiting threads) never touch a destroyed tracer.
   static Tracer* tracer = [] {
     auto* t = new Tracer();
-    if (const char* path = std::getenv("DMIS_TRACE");
-        path != nullptr && *path != '\0') {
+    if (knobs::find<std::string>(Knob::kTrace).has_value()) {
       t->enable();
       std::atexit([] { Tracer::write_trace_to_env_path_once(); });
     }

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/fault_injector.hpp"
+#include "common/knobs.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -16,12 +16,6 @@ namespace dmis::serve {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-int64_t env_int64(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  return std::strtoll(env, nullptr, 10);
-}
 
 /// Thrown by the progress hook to abandon an in-flight request whose
 /// deadline passed (or whose future was already settled by the reaper).
@@ -49,19 +43,6 @@ const char* health_state_name(HealthState state) {
   return "unknown";
 }
 
-ServeOptions ServeOptions::from_env() {
-  ServeOptions options;
-  options.num_workers = static_cast<int>(
-      env_int64("DMIS_SERVE_WORKERS", options.num_workers));
-  options.queue_capacity =
-      env_int64("DMIS_SERVE_QUEUE", options.queue_capacity);
-  options.default_deadline_ms =
-      env_int64("DMIS_SERVE_DEADLINE_MS", options.default_deadline_ms);
-  options.full_volume_voxel_budget =
-      env_int64("DMIS_SERVE_VOXEL_BUDGET", options.full_volume_voxel_budget);
-  return options;
-}
-
 struct SegmentationServer::Request {
   int64_t id = 0;
   data::Volume volume;
@@ -79,6 +60,14 @@ SegmentationServer::SegmentationServer(const nn::UNet3dOptions& model_options,
                                        const std::string& checkpoint_path,
                                        ServeOptions options)
     : options_(options), model_options_(model_options) {
+  options_.num_workers =
+      knobs::get<int>(Knob::kServeWorkers, options.num_workers);
+  options_.queue_capacity =
+      knobs::get<int64_t>(Knob::kServeQueue, options.queue_capacity);
+  options_.default_deadline_ms = knobs::get<int64_t>(
+      Knob::kServeDeadlineMs, options.default_deadline_ms);
+  options_.full_volume_voxel_budget = knobs::get<int64_t>(
+      Knob::kServeVoxelBudget, options.full_volume_voxel_budget);
   DMIS_CHECK(options_.num_workers >= 1, "num_workers must be >= 1, got "
                                         << options_.num_workers);
   DMIS_CHECK(options_.queue_capacity >= 1, "queue_capacity must be >= 1, got "

@@ -25,12 +25,8 @@
 // with kShedding and completes in-flight work. Deadline misses are
 // load signals, not backend failures — they never trip the breaker.
 //
-// Knobs (environment defaults via ServeOptions::from_env):
-//   DMIS_SERVE_WORKERS       worker threads / model instances
-//   DMIS_SERVE_QUEUE         bounded queue capacity
-//   DMIS_SERVE_DEADLINE_MS   default per-request deadline (0 = none)
-//   DMIS_SERVE_VOXEL_BUDGET  spatial voxels above which requests are
-//                            served by sliding-window patch inference
+// Knobs: DMIS_SERVE_{WORKERS,QUEUE,DEADLINE_MS,VOXEL_BUDGET}, the
+// ServeOptions fields of the same meaning (common/knobs.hpp).
 //
 // Fault points (common::FaultInjector): serve.queue (admission),
 // serve.worker (request pickup; rank-scoped by worker id),
@@ -58,6 +54,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "core/serve.hpp"
 #include "serve/error.hpp"
 
@@ -72,14 +69,16 @@ enum class HealthState {
 const char* health_state_name(HealthState state);
 
 struct ServeOptions {
-  int num_workers = 2;
-  int64_t queue_capacity = 16;
+  int num_workers = knobs::default_value<int>(Knob::kServeWorkers);
+  int64_t queue_capacity = knobs::default_value<int64_t>(Knob::kServeQueue);
   /// Default deadline applied to requests that do not set one;
   /// 0 = no deadline.
-  int64_t default_deadline_ms = 0;
+  int64_t default_deadline_ms =
+      knobs::default_value<int64_t>(Knob::kServeDeadlineMs);
   /// Spatial voxel budget above which sliding-window inference is used;
   /// 0 = always full-volume.
-  int64_t full_volume_voxel_budget = 0;
+  int64_t full_volume_voxel_budget =
+      knobs::default_value<int64_t>(Knob::kServeVoxelBudget);
   nn::SlidingWindowOptions sliding_window;
   /// Shed a deadline-carrying request at admission when the estimated
   /// queue wait (depth x EMA latency / workers) already exceeds it.
@@ -88,9 +87,6 @@ struct ServeOptions {
   int breaker_trip_failures = 3;
   /// Consecutive successes (while degraded) that close it again.
   int breaker_recovery_successes = 2;
-
-  /// Built-in defaults overridden by the DMIS_SERVE_* environment knobs.
-  static ServeOptions from_env();
 };
 
 struct RequestOptions {
@@ -127,11 +123,12 @@ class SegmentationServer {
  public:
   /// Loads the checkpoint once (empty path = fresh weights), fans the
   /// weight set out to `options.num_workers` model instances and starts
-  /// the worker + reaper threads. Throws core::BackendError when the
+  /// the worker + reaper threads. options() returns `options` resolved
+  /// against the DMIS_SERVE_* knobs. Throws core::BackendError when the
   /// checkpoint cannot be restored.
   SegmentationServer(const nn::UNet3dOptions& model_options,
                      const std::string& checkpoint_path,
-                     ServeOptions options = ServeOptions::from_env());
+                     ServeOptions options = {});
 
   /// Drains and stops all threads.
   ~SegmentationServer();

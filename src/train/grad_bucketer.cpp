@@ -1,12 +1,12 @@
 #include "train/grad_bucketer.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <span>
 
 #include "common/check.hpp"
+#include "common/knobs.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -29,21 +29,12 @@ obs::Counter& buckets_fired_counter() {
 
 }  // namespace
 
-size_t GradBucketer::effective_bucket_bytes(size_t configured) {
-  const char* env = std::getenv("DMIS_BUCKET_BYTES");
-  if (env == nullptr || *env == '\0') return configured;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  DMIS_CHECK(end != env && *end == '\0',
-             "DMIS_BUCKET_BYTES must be a byte count, got '" << env << "'");
-  return static_cast<size_t>(v);
-}
-
 GradBucketer::GradBucketer(std::vector<nn::Param> params,
                            comm::Communicator& comm, size_t bucket_bytes,
                            comm::CompressOptions compress)
     : comm_(comm),
-      compress_(comm::CompressOptions::resolved(compress)),
+      compress_{knobs::get<comm::CompressMode>(Knob::kCompress, compress.mode),
+                knobs::get<double>(Knob::kTopkRatio, compress.topk_ratio)},
       compressor_(comm::make_compressor(compress_, comm.size())) {
   DMIS_CHECK(bucket_bytes > 0, "bucket_bytes must be > 0 (use the "
                                "per-tensor strategy path instead of a "

@@ -68,18 +68,13 @@ class GradBucketer {
   /// rendezvous on this host.
   static constexpr size_t kDirectBytes = size_t{64} << 10;
 
-  /// Resolves the effective cap: DMIS_BUCKET_BYTES when set (parsed as
-  /// bytes; 0 selects the unbucketed per-tensor path in the strategy),
-  /// otherwise `configured`.
-  static size_t effective_bucket_bytes(size_t configured);
-
   /// Builds the bucket layout over `params` (registration order, as
   /// returned by Graph::params()). `comm` must outlive the bucketer.
   /// `bucket_bytes` caps each packed bucket; a parameter of at least
   /// min(kDirectBytes, bucket_bytes) gets a direct (in-place) bucket of
-  /// its own. `compress` selects the wire codec (env wins via
-  /// CompressOptions::resolved); the bucket *layout* is independent of
-  /// it, so residuals survive a rebuild over the same parameters.
+  /// its own. `compress` selects the wire codec (the DMIS_COMPRESS /
+  /// DMIS_TOPK_RATIO knobs); the bucket *layout* is independent of it,
+  /// so residuals survive a rebuild over the same parameters.
   GradBucketer(std::vector<nn::Param> params, comm::Communicator& comm,
                size_t bucket_bytes = kDefaultBucketBytes,
                comm::CompressOptions compress = {});

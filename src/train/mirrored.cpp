@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <filesystem>
 #include <mutex>
@@ -12,6 +10,7 @@
 #include "comm/communicator.hpp"
 #include "comm/membership.hpp"
 #include "common/check.hpp"
+#include "common/knobs.hpp"
 #include "common/logging.hpp"
 #include "nn/checkpoint.hpp"
 #include "obs/flight_recorder.hpp"
@@ -43,15 +42,6 @@ void record_overlap(const GradBucketer& bucketer, int64_t backward_end_us) {
     tracer.record_span("train.grad_sync.tail", overlap_end,
                        wait_end - overlap_end);
   }
-}
-
-// An on/off switch: the environment variable `name` when set, else
-// `configured`.
-bool env_flag(const char* name, bool configured) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return configured;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
 }
 
 // Rows [lo, lo + count) of a batch-major array.
@@ -150,7 +140,7 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
     // Same seed in model_options -> bit-identical initial weights.
     replicas_.push_back(std::make_unique<nn::UNet3d>(model_options));
   }
-  impl_->elastic = env_flag("DMIS_ELASTIC", options.elastic);
+  impl_->elastic = knobs::get<bool>(Knob::kElastic, options.elastic);
   if (impl_->elastic) {
     DMIS_CHECK(!options_.elastic_dir.empty(),
                "elastic mode needs MirroredOptions::elastic_dir for the "
@@ -158,7 +148,7 @@ MirroredStrategy::MirroredStrategy(const nn::UNet3dOptions& model_options,
     impl_->ckpt_path = options_.elastic_dir + "/elastic.ckpt";
   }
   impl_->elastic_grow =
-      env_flag("DMIS_ELASTIC_GROW", options.elastic_grow);
+      knobs::get<bool>(Knob::kElasticGrow, options.elastic_grow);
   if (impl_->elastic_grow) {
     DMIS_CHECK(impl_->elastic,
                "elastic_grow requires elastic mode: the grow path reuses "
@@ -239,11 +229,12 @@ void MirroredStrategy::build_group() {
   group_options.ranks_per_node = options_.comm_ranks_per_node;
   impl_->comms = comm::make_group(r, group_options);
   const size_t bucket_bytes =
-      GradBucketer::effective_bucket_bytes(options_.bucket_bytes);
+      knobs::get<size_t>(Knob::kBucketBytes, options_.bucket_bytes);
+  const double lr_scale = options_.scale_lr ? static_cast<double>(r) : 1.0;
   for (int i = 0; i < r; ++i) {
     nn::UNet3d& model = *replicas_[static_cast<size_t>(i)];
     impl_->steps.push_back(std::make_unique<ModelStep<nn::UNet3d>>(
-        model, options_.train, effective_lr()));
+        model, options_.train, lr_scale));
     if (bucket_bytes == 0) continue;
     impl_->bucketers.push_back(std::make_unique<GradBucketer>(
         model.params(), impl_->comms[static_cast<size_t>(i)], bucket_bytes,

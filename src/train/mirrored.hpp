@@ -82,6 +82,7 @@
 
 #include "comm/algorithms.hpp"
 #include "comm/compress.hpp"
+#include "common/knobs.hpp"
 #include "train/trainer.hpp"
 
 namespace dmis::comm {
@@ -93,51 +94,48 @@ namespace dmis::train {
 struct MirroredOptions {
   int num_replicas = 2;
   TrainOptions train;
-  /// Scale the learning rate linearly with the replica count (the
-  /// paper's 1e-4 x #GPUs rule). In elastic mode the rate is rescaled
-  /// to the surviving world size after a shrink.
+  /// Scale the learning rate (the constant rate, or the cyclic base and
+  /// max) linearly with the replica count (the paper's 1e-4 x #GPUs
+  /// rule). In elastic mode the rate is rescaled to the surviving world
+  /// size after a shrink.
   bool scale_lr = true;
   /// Gradient-bucket size cap for the fused, compute-overlapped
   /// allreduce (see train/grad_bucketer.hpp). 0 selects the legacy
-  /// blocking per-tensor allreduce. Overridable at run time with
-  /// DMIS_BUCKET_BYTES.
-  size_t bucket_bytes = size_t{1} << 20;
+  /// blocking per-tensor allreduce.
+  size_t bucket_bytes = knobs::default_value<size_t>(Knob::kBucketBytes);
   /// Survive replica failure by shrinking to the survivors and
   /// restoring from the last step-consistent checkpoint, instead of
-  /// failing the whole fit(). DMIS_ELASTIC=1/0 overrides. Requires
-  /// `elastic_dir`.
-  bool elastic = false;
+  /// failing the whole fit(). Requires `elastic_dir`.
+  bool elastic = knobs::default_value<bool>(Knob::kElastic);
   /// Directory for the elastic step-consistent checkpoint (created if
   /// missing; stale *.tmp files from crashed saves are swept on fit()
   /// entry).
   std::string elastic_dir;
   /// Re-admit returning ranks at epoch boundaries (see file comment).
-  /// Requires elastic mode; DMIS_ELASTIC_GROW=1/0 overrides.
-  bool elastic_grow = false;
-  /// Membership lease duration in ms handed to the MembershipService:
-  /// < 0 resolves DMIS_COMM_LEASE_MS (unset -> 2000). A survivor whose
-  /// collective heartbeat is older than this at an epoch boundary
-  /// vetoes admission (the group is not healthy enough to grow).
-  int64_t lease_ms = -1;
+  /// Requires elastic mode.
+  bool elastic_grow = knobs::default_value<bool>(Knob::kElasticGrow);
+  /// Membership lease duration in ms handed to the MembershipService.
+  /// A survivor whose collective heartbeat is older than this at an
+  /// epoch boundary vetoes admission (the group is not healthy enough
+  /// to grow).
+  std::optional<int64_t> lease_ms;
   /// How long a request_rejoin() agent waits to be admitted before
   /// giving up with MembershipError{kTimeout}.
   int64_t join_timeout_ms = 120'000;
-  /// Per-collective deadline handed to the comm group, in milliseconds:
-  /// < 0 resolves DMIS_COMM_TIMEOUT_MS, 0 = no deadline. A deadline is
-  /// what turns a *hung* (not crashed) rank into a typed failure.
-  int64_t comm_timeout_ms = -1;
-  /// All-reduce schedule for gradient sync (comm/algorithms.hpp):
-  /// unset -> ring, the bitwise-stable default; kAuto engages the
-  /// calibrated tuner. DMIS_COMM_ALGO always wins over this field, and
-  /// an elastic rebuild carries the same choice to the shrunken group.
+  /// Per-collective deadline handed to the comm group, in milliseconds
+  /// (0 = no deadline). A deadline is what turns a *hung* (not crashed)
+  /// rank into a typed failure.
+  std::optional<int64_t> comm_timeout_ms;
+  /// All-reduce schedule for gradient sync (comm/algorithms.hpp): ring
+  /// by default, the bitwise-stable choice; kAuto engages the
+  /// calibrated tuner. An elastic rebuild carries the same choice to
+  /// the shrunken group.
   std::optional<comm::AllReduceAlgo> comm_algo;
   /// Logical ranks per node handed to the comm group topology (for the
-  /// hierarchical algorithm and the tuner): -1 resolves
-  /// DMIS_COMM_RANKS_PER_NODE, 0 = flat single-node.
-  int comm_ranks_per_node = -1;
+  /// hierarchical algorithm and the tuner); 0 = flat single-node.
+  std::optional<int> comm_ranks_per_node;
   /// Gradient compression for the bucketed sync path
-  /// (comm/compress.hpp): fp16 wire or top-k with error feedback.
-  /// DMIS_COMPRESS / DMIS_TOPK_RATIO always win over this field; an
+  /// (comm/compress.hpp): fp16 wire or top-k with error feedback. An
   /// elastic rebuild keeps the codec and carries the error-feedback
   /// residuals of the surviving replicas into the shrunken group.
   comm::CompressOptions compress;

@@ -7,7 +7,7 @@ PipelineParallelStrategy::PipelineParallelStrategy(
     const PipelineParallelOptions& options)
     : options_(options),
       model_(model_options, options.num_microbatches),
-      step_(model_, options.train, options.train.lr) {}
+      step_(model_, options.train) {}
 
 TrainReport PipelineParallelStrategy::fit(data::BatchStream& train,
                                           data::BatchStream* val,

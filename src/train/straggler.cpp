@@ -1,7 +1,6 @@
 #include "train/straggler.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
@@ -10,24 +9,10 @@
 
 namespace dmis::train {
 
-StragglerOptions StragglerOptions::from_env() {
-  StragglerOptions opts;
-  if (const char* env = std::getenv("DMIS_STRAGGLER_FACTOR");
-      env != nullptr && *env != '\0') {
-    const double v = std::strtod(env, nullptr);
-    if (v > 1.0) {
-      opts.threshold = v;
-    } else {
-      DMIS_LOG(kWarn) << "DMIS_STRAGGLER_FACTOR=" << env
-                      << " must be > 1.0; keeping default "
-                      << opts.threshold;
-    }
-  }
-  return opts;
-}
-
 StragglerDetector::StragglerDetector(int world, StragglerOptions opts)
     : world_(world), opts_(opts) {
+  opts_.threshold =
+      knobs::get<double>(Knob::kStragglerFactor, opts.threshold);
   DMIS_CHECK(world >= 1, "straggler detector needs >= 1 rank, got " << world);
   auto& registry = obs::MetricsRegistry::instance();
   step_.reserve(static_cast<size_t>(world));

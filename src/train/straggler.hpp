@@ -22,28 +22,24 @@
 #include <memory>
 #include <vector>
 
+#include "common/knobs.hpp"
 #include "obs/rolling.hpp"
 
 namespace dmis::train {
 
 struct StragglerOptions {
   /// Flag when worst-rank p50 >= threshold * median p50.
-  double threshold = 2.0;
+  double threshold = knobs::default_value<double>(Knob::kStragglerFactor);
   /// Windowed samples every rank needs before a verdict (avoids flagging
   /// off warmup noise).
   int64_t min_samples = 8;
   /// Rolling window the comparison runs over.
   int64_t window_us = 60'000'000;
-
-  /// threshold from DMIS_STRAGGLER_FACTOR (> 1.0; invalid values keep
-  /// the default).
-  static StragglerOptions from_env();
 };
 
 class StragglerDetector {
  public:
-  explicit StragglerDetector(int world,
-                             StragglerOptions opts = StragglerOptions::from_env());
+  explicit StragglerDetector(int world, StragglerOptions opts = {});
 
   /// One training step's wall time on `rank`, microseconds.
   void record_step(int rank, double us);

@@ -37,7 +37,7 @@ double evaluate_dice(Model& model, data::BatchStream& val) {
 
 template <class Model>
 ModelStep<Model>::ModelStep(Model& model, const TrainOptions& options,
-                            double lr)
+                            double lr_scale)
     : model_(model), accumulation_(options.grad_accumulation) {
   DMIS_CHECK(options.epochs >= 1, "epochs must be >= 1, got "
                                       << options.epochs);
@@ -45,11 +45,12 @@ ModelStep<Model>::ModelStep(Model& model, const TrainOptions& options,
              "grad_accumulation must be >= 1, got "
                  << options.grad_accumulation);
   loss_ = nn::make_loss(options.loss);
+  const double lr = options.lr * lr_scale;
   optimizer_ = nn::make_optimizer(options.optimizer, model.params(), lr);
   if (options.cyclic.has_value()) {
-    schedule_ = std::make_unique<nn::CyclicLr>(options.cyclic->base_lr,
-                                               options.cyclic->max_lr,
-                                               options.cyclic->step_size);
+    schedule_ = std::make_unique<nn::CyclicLr>(
+        options.cyclic->base_lr * lr_scale, options.cyclic->max_lr * lr_scale,
+        options.cyclic->step_size);
   } else {
     schedule_ = std::make_unique<nn::ConstantLr>(lr);
   }
@@ -191,7 +192,7 @@ DMIS_TRAIN_INSTANTIATE(nn::PipelinedUNet3d)
 #undef DMIS_TRAIN_INSTANTIATE
 
 Trainer::Trainer(nn::UNet3d& model, const TrainOptions& options)
-    : options_(options), step_(model, options, options.lr) {}
+    : options_(options), step_(model, options) {}
 
 TrainReport Trainer::fit(data::BatchStream& train, data::BatchStream* val,
                          const EpochCallback& callback) {

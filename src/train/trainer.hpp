@@ -75,10 +75,12 @@ double evaluate_dice(Model& model, data::BatchStream& val);
 template <class Model>
 class ModelStep {
  public:
-  /// Borrows `model`. `lr` is the optimizer's rate and the schedule's
-  /// constant rate when `options.cyclic` is unset. Throws
-  /// InvalidArgument for epochs < 1 or grad_accumulation < 1.
-  ModelStep(Model& model, const TrainOptions& options, double lr);
+  /// Borrows `model`. `lr_scale` multiplies every rate of the schedule
+  /// (`options.lr`, or the cyclic base and max): the data-parallel
+  /// linear-scaling rule. Throws InvalidArgument for epochs < 1 or
+  /// grad_accumulation < 1.
+  ModelStep(Model& model, const TrainOptions& options,
+            double lr_scale = 1.0);
 
   Model& model() { return model_; }
   nn::Optimizer& optimizer() { return *optimizer_; }

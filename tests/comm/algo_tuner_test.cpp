@@ -39,15 +39,17 @@ std::vector<size_t> size_sweep() {
 }
 
 TEST(AllReduceAlgoNames, ParseRoundTrips) {
+  // The DMIS_COMM_ALGO words map to the enumerators by position.
+  const auto parse = [](const char* word) {
+    return knobs::parse<AllReduceAlgo>(Knob::kCommAlgo, word);
+  };
   for (const AllReduceAlgo algo :
        {AllReduceAlgo::kRing, AllReduceAlgo::kTree, AllReduceAlgo::kHier,
         AllReduceAlgo::kAuto}) {
-    const auto parsed = parse_all_reduce_algo(all_reduce_algo_name(algo));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, algo);
+    EXPECT_EQ(parse(all_reduce_algo_name(algo)), algo);
   }
-  EXPECT_FALSE(parse_all_reduce_algo("fastest").has_value());
-  EXPECT_FALSE(parse_all_reduce_algo("").has_value());
+  EXPECT_THROW(parse("fastest"), InvalidArgument);
+  EXPECT_THROW(parse(""), InvalidArgument);
 }
 
 // Monotonicity: every per-algorithm cost is affine in the message size
@@ -262,12 +264,15 @@ TEST_F(AlgoEnvTest, InternalGroupsIgnoreEnvOverrides) {
   // calibration constructing it (seen live as recursive_init_error).
   ::setenv("DMIS_COMM_ALGO", "auto", 1);
   ::setenv("DMIS_COMM_RANKS_PER_NODE", "2", 1);
+  ::setenv("DMIS_COMM_TIMEOUT_MS", "5", 1);  // a probe must not time out
   GroupOptions opts;
   opts.algo = AllReduceAlgo::kRing;
   opts.internal = true;
   auto probe = make_group(4, opts);
+  ::unsetenv("DMIS_COMM_TIMEOUT_MS");
   EXPECT_EQ(probe[0].algo(), AllReduceAlgo::kRing);
   EXPECT_EQ(probe[0].ranks_per_node(), 4);
+  EXPECT_EQ(probe[0].timeout_ms(), 0);
 }
 
 TEST_F(AlgoEnvTest, EnvAutoConstructsAndReduces) {

@@ -134,10 +134,15 @@ TEST(Fp16CodecTest, PackScaleFoldsTheMultiply) {
 }
 
 TEST(CompressModeTest, ParseAndEnvResolution) {
-  EXPECT_EQ(parse_compress_mode("none"), CompressMode::kNone);
-  EXPECT_EQ(parse_compress_mode("fp16"), CompressMode::kFp16);
-  EXPECT_EQ(parse_compress_mode("topk"), CompressMode::kTopK);
-  EXPECT_FALSE(parse_compress_mode("gzip").has_value());
+  // The DMIS_COMPRESS words map to the enumerators by position.
+  for (const CompressMode mode :
+       {CompressMode::kNone, CompressMode::kFp16, CompressMode::kTopK}) {
+    EXPECT_EQ(knobs::parse<CompressMode>(Knob::kCompress,
+                                         compress_mode_name(mode)),
+              mode);
+  }
+  EXPECT_THROW(knobs::parse<CompressMode>(Knob::kCompress, "gzip"),
+               InvalidArgument);
 
   // Save the knobs: verify.sh re-runs this suite under DMIS_COMPRESS
   // sweeps, and the sweep's setting must survive this test.
@@ -151,14 +156,20 @@ TEST(CompressModeTest, ParseAndEnvResolution) {
   CompressOptions configured;
   configured.mode = CompressMode::kTopK;
   configured.topk_ratio = 0.5;
-  const CompressOptions resolved = CompressOptions::resolved(configured);
-  EXPECT_EQ(resolved.mode, CompressMode::kFp16);  // env wins
-  EXPECT_DOUBLE_EQ(resolved.topk_ratio, 0.25);
+  // What GradBucketer applies on top of its CompressOptions.
+  const auto resolved = [&] {
+    return CompressOptions{
+        knobs::get<CompressMode>(Knob::kCompress, configured.mode),
+        knobs::get<double>(Knob::kTopkRatio, configured.topk_ratio)};
+  };
+  EXPECT_EQ(resolved().mode, CompressMode::kFp16);  // env wins
+  EXPECT_DOUBLE_EQ(resolved().topk_ratio, 0.25);
   ::unsetenv("DMIS_COMPRESS");
   ::unsetenv("DMIS_TOPK_RATIO");
-  const CompressOptions kept = CompressOptions::resolved(configured);
-  EXPECT_EQ(kept.mode, CompressMode::kTopK);
-  EXPECT_DOUBLE_EQ(kept.topk_ratio, 0.5);
+  EXPECT_EQ(resolved().mode, CompressMode::kTopK);
+  EXPECT_DOUBLE_EQ(resolved().topk_ratio, 0.5);
+  EXPECT_EQ(CompressOptions{}.mode, CompressMode::kNone);
+  EXPECT_DOUBLE_EQ(CompressOptions{}.topk_ratio, 0.01);
 
   EXPECT_EQ(make_compressor(CompressOptions{}, 4), nullptr);
 

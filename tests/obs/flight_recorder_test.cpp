@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -79,6 +80,25 @@ TEST_F(FlightRecorderTest, DumpCarriesTriggerMetricsSpansAndHealth) {
   const std::string path2 = recorder.dump("test.trigger2");
   ASSERT_FALSE(path2.empty());
   EXPECT_EQ(read_file(path2).find("test.subsystem"), std::string::npos);
+}
+
+TEST_F(FlightRecorderTest, DumpCarriesEffectiveConfiguration) {
+  const char* prior = std::getenv("DMIS_TOPK_RATIO");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("DMIS_TOPK_RATIO", "0.25", 1);
+  const std::string path = FlightRecorder::instance().dump("test.config");
+  if (prior != nullptr) {
+    ::setenv("DMIS_TOPK_RATIO", saved.c_str(), 1);
+  } else {
+    ::unsetenv("DMIS_TOPK_RATIO");
+  }
+  ASSERT_FALSE(path.empty());
+  const std::string dump = read_file(path);
+  EXPECT_NE(dump.find("\"config\":{\"DMIS_KERNEL\":{"), std::string::npos)
+      << dump;
+  EXPECT_NE(dump.find(R"("DMIS_TOPK_RATIO":{"value":"0.25","source":"env"})"),
+            std::string::npos)
+      << dump;
 }
 
 TEST_F(FlightRecorderTest, DumpsAreSequencedNotOverwritten) {

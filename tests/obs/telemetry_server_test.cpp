@@ -249,9 +249,39 @@ TEST_F(TelemetryServerTest, SpansEndpointReturnsRecordedSpans) {
   EXPECT_NE(r.body.find("\"bytes\":4096"), std::string::npos);
 }
 
+TEST_F(TelemetryServerTest, ConfigEndpointShowsEffectiveKnobs) {
+  const char* prior = std::getenv("DMIS_COMM_ALGO");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("DMIS_COMM_ALGO", "tree", 1);
+  ::setenv("DMIS_FLIGHT_DIR", "/tmp/flight \"x\"", 1);
+  TelemetryServer server(0);
+
+  const HttpResponse r = http_get(server.port(), "/config");
+  EXPECT_EQ(r.status, 200);
+  EXPECT_NE(r.body.find(R"("DMIS_COMM_ALGO":{"value":"tree","source":"env"})"),
+            std::string::npos)
+      << r.body;
+  EXPECT_NE(r.body.find(R"("DMIS_COMM_LEASE_MS":{"value":)"),
+            std::string::npos)
+      << r.body;
+  // The build-info label reads DMIS_FLIGHT_DIR through the registry.
+  EXPECT_NE(TelemetryServer::render_metrics().find(
+                R"(flight_dir="/tmp/flight \"x\"")"),
+            std::string::npos);
+
+  ::unsetenv("DMIS_FLIGHT_DIR");
+  if (prior != nullptr) {
+    ::setenv("DMIS_COMM_ALGO", saved.c_str(), 1);
+  } else {
+    ::unsetenv("DMIS_COMM_ALGO");
+  }
+}
+
 TEST_F(TelemetryServerTest, UnknownPathAndMethodAreRejected) {
   TelemetryServer server(0);
-  EXPECT_EQ(http_get(server.port(), "/nope").status, 404);
+  const HttpResponse missing = http_get(server.port(), "/nope");
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_NE(missing.body.find("/config"), std::string::npos) << missing.body;
   EXPECT_EQ(http_request(server.port(),
                          "POST /metrics HTTP/1.1\r\nHost: x\r\n"
                          "Content-Length: 0\r\n\r\n")

@@ -424,15 +424,27 @@ TEST_F(ServerTest, OptionsFromEnvReadKnobs) {
   ::setenv("DMIS_SERVE_QUEUE", "5", 1);
   ::setenv("DMIS_SERVE_DEADLINE_MS", "1234", 1);
   ::setenv("DMIS_SERVE_VOXEL_BUDGET", "99", 1);
-  const ServeOptions options = ServeOptions::from_env();
+  {
+    // The variables win over explicitly configured options.
+    SegmentationServer server(tiny_model(), "", base_options(1));
+    const ServeOptions& options = server.options();
+    EXPECT_EQ(options.num_workers, 3);
+    EXPECT_EQ(options.queue_capacity, 5);
+    EXPECT_EQ(options.default_deadline_ms, 1234);
+    EXPECT_EQ(options.full_volume_voxel_budget, 99);
+  }
+  ::setenv("DMIS_SERVE_WORKERS", "abc", 1);
+  EXPECT_THROW(SegmentationServer(tiny_model(), "", base_options(1)),
+               InvalidArgument);
   ::unsetenv("DMIS_SERVE_WORKERS");
   ::unsetenv("DMIS_SERVE_QUEUE");
   ::unsetenv("DMIS_SERVE_DEADLINE_MS");
   ::unsetenv("DMIS_SERVE_VOXEL_BUDGET");
-  EXPECT_EQ(options.num_workers, 3);
-  EXPECT_EQ(options.queue_capacity, 5);
-  EXPECT_EQ(options.default_deadline_ms, 1234);
-  EXPECT_EQ(options.full_volume_voxel_budget, 99);
+
+  SegmentationServer server(tiny_model(), "", base_options(1));
+  EXPECT_EQ(server.options().num_workers, 1);
+  EXPECT_EQ(ServeOptions{}.num_workers, 2);
+  EXPECT_EQ(ServeOptions{}.queue_capacity, 16);
 }
 
 TEST_F(ServerTest, ErrorKindNamesAreStable) {

@@ -16,6 +16,7 @@
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
 #include "common/fault_injector.hpp"
+#include "common/knobs.hpp"
 #include "tensor/rng.hpp"
 
 namespace dmis::train {
@@ -273,15 +274,21 @@ TEST(GradBucketerTest, IdleRankContributesZeroWeightGradients) {
 }
 
 TEST(GradBucketerTest, EnvOverridesConfiguredBucketBytes) {
+  // The cap MirroredStrategy hands each GradBucketer.
+  const auto effective = [] {
+    return knobs::get<size_t>(Knob::kBucketBytes, size_t{123});
+  };
   ASSERT_EQ(unsetenv("DMIS_BUCKET_BYTES"), 0);
-  EXPECT_EQ(GradBucketer::effective_bucket_bytes(123), 123U);
+  EXPECT_EQ(effective(), 123U);
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "4096", 1), 0);
-  EXPECT_EQ(GradBucketer::effective_bucket_bytes(123), 4096U);
+  EXPECT_EQ(effective(), 4096U);
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "0", 1), 0);
-  EXPECT_EQ(GradBucketer::effective_bucket_bytes(123), 0U);
+  EXPECT_EQ(effective(), 0U);
   ASSERT_EQ(setenv("DMIS_BUCKET_BYTES", "not-bytes", 1), 0);
-  EXPECT_THROW(GradBucketer::effective_bucket_bytes(123), InvalidArgument);
+  EXPECT_THROW(effective(), InvalidArgument);
   ASSERT_EQ(unsetenv("DMIS_BUCKET_BYTES"), 0);
+  EXPECT_EQ(knobs::default_value<size_t>(Knob::kBucketBytes),
+            GradBucketer::kDefaultBucketBytes);
 }
 
 TEST(GradBucketerTest, RejectsZeroBucketBytes) {

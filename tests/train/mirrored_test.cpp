@@ -163,6 +163,26 @@ TEST(MirroredStrategyTest, ValidationUsesReplicaZero) {
   EXPECT_LE(*report.history.front().val_dice, 1.0);
 }
 
+// The linear-scaling rule covers the cyclic schedule too: with scale_lr,
+// a 2-replica run steps its optimizers at 2x the cyclic base rate at
+// step 0 and at 2x the cyclic max at the peak.
+TEST(MirroredStrategyTest, ScaleLrScalesTheCyclicSchedule) {
+  TrainOptions topt;
+  topt.epochs = 2;
+  topt.cyclic = CyclicLrSpec{1e-4, 1e-3, 1};  // step 0: base, step 1: max
+  MirroredOptions mopt;
+  mopt.num_replicas = 2;
+  mopt.train = topt;
+  mopt.scale_lr = true;
+  MirroredStrategy mirrored(tiny_model(false), mopt);
+  // One global batch per epoch, so epoch e runs optimizer step e.
+  data::BatchStream train(data::from_examples(make_examples(4, 5)), 4);
+  const TrainReport report = mirrored.fit(train, nullptr);
+  ASSERT_EQ(report.history.size(), 2U);
+  EXPECT_DOUBLE_EQ(report.history[0].lr, 2 * 1e-4);
+  EXPECT_DOUBLE_EQ(report.history[1].lr, 2 * 1e-3);
+}
+
 // One replica is the single-device Trainer: same weights, and the same
 // TrainReport down to the last bit, with and without a validation
 // stream and a cyclic schedule.

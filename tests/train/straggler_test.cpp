@@ -112,17 +112,21 @@ TEST_F(StragglerTest, CheckUpdatesRegistryMetrics) {
 }
 
 TEST_F(StragglerTest, ThresholdComesFromEnv) {
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 2.0);
+  EXPECT_DOUBLE_EQ(StragglerDetector(2).options().threshold, 2.0);
 
   ::setenv("DMIS_STRAGGLER_FACTOR", "3.5", 1);
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 3.5);
+  EXPECT_DOUBLE_EQ(StragglerDetector(2).options().threshold, 3.5);
+  StragglerOptions configured;
+  configured.threshold = 4.0;  // the variable wins over the option
+  EXPECT_DOUBLE_EQ(StragglerDetector(2, configured).options().threshold,
+                   3.5);
 
-  // A factor <= 1 would flag every group; keep the default instead.
+  // A factor <= 1 would flag every group: rejected, like junk.
   ::setenv("DMIS_STRAGGLER_FACTOR", "0.5", 1);
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 2.0);
+  EXPECT_THROW((void)StragglerDetector(2), InvalidArgument);
 
   ::setenv("DMIS_STRAGGLER_FACTOR", "junk", 1);
-  EXPECT_DOUBLE_EQ(StragglerOptions::from_env().threshold, 2.0);
+  EXPECT_THROW((void)StragglerDetector(2), InvalidArgument);
 }
 
 TEST_F(StragglerTest, ThresholdGatesTheVerdict) {

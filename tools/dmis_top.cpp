@@ -27,6 +27,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/knobs.hpp"
+
 namespace {
 
 struct Options {
@@ -46,10 +48,8 @@ struct Options {
 
 Options parse_args(int argc, char** argv) {
   Options opts;
-  if (const char* env = std::getenv("DMIS_OBS_PORT");
-      env != nullptr && *env != '\0') {
-    opts.port = std::atoi(env);
-  }
+  opts.port =
+      dmis::knobs::find<int>(dmis::Knob::kObsPort).value_or(opts.port);
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto need_value = [&]() -> const char* {

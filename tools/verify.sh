@@ -2,7 +2,8 @@
 # Repo verification: the tier-1 build + full test suite (repeated with
 # DMIS_KERNEL=naive for the conv reference backend), then an
 # AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, conv
-# parity and gradchecks — where indexing bugs would scribble), a
+# parity and gradchecks — where indexing bugs would scribble) and the
+# knob parser (common_test, also run under UBSan), a
 # ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
 # tune retries, comm collectives + async comm workers — repeated
 # under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
@@ -40,10 +41,11 @@ echo "== flake screen: comm suites repeated until-fail 3x =="
 (cd build && ctest --repeat until-fail:3 -j"${JOBS}" \
   -R '^(comm_test|chaos_dp_test|chaos_grow_test)\.' | tail -3)
 
-echo "== asan: gemm/im2col + conv parity suites =="
+echo "== asan: gemm/im2col + conv parity suites, knob parser =="
 cmake -B build-asan -S . -DDMIS_SANITIZE=address >/dev/null
-cmake --build build-asan -j"${JOBS}" --target tensor_test nn_test
+cmake --build build-asan -j"${JOBS}" --target tensor_test nn_test common_test
 ./build-asan/tests/tensor_test --gtest_filter='Shapes/*:Sgemm*:Geometries/*:Im2col*'
+./build-asan/tests/common_test
 for backend in gemm naive; do
   echo "-- asan: nn_test conv suites (DMIS_KERNEL=${backend})"
   DMIS_KERNEL="${backend}" ./build-asan/tests/nn_test \
@@ -64,8 +66,8 @@ done
 
 echo "== tsan: comm + chaos_dp under the tree and hier algorithms =="
 # DMIS_COMM_ALGO swaps the all-reduce schedule under every existing
-# comm/chaos scenario (the env override wins over GroupOptions by
-# design, and each suite's references run under the same override), so
+# comm/chaos scenario (a set knob wins over GroupOptions, and each
+# suite's references run under the same setting), so
 # rank loss, timeouts and aborts are exercised under the tree and
 # hierarchical schedules — race-free under TSan.
 for algo_env in "DMIS_COMM_ALGO=tree" \
