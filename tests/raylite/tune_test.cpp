@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -186,6 +188,23 @@ TEST(TuneTest, RejectsBadArguments) {
                InvalidArgument);
 }
 
+TEST(TuneTest, RejectsImpossiblePerTrialRequest) {
+  TuneOptions opts;
+  opts.num_gpus = 2;
+  opts.per_trial = Resources{3, 1};  // more GPUs than the pool holds
+  EXPECT_THROW(tune_run(synthetic_trainable, lr_grid(), opts),
+               InvalidArgument);
+  opts.per_trial = Resources{1, 3};  // more CPUs than the pool holds
+  EXPECT_THROW(tune_run(synthetic_trainable, lr_grid(), opts),
+               InvalidArgument);
+  opts.per_trial = Resources{-1, 1};
+  EXPECT_THROW(tune_run(synthetic_trainable, lr_grid(), opts),
+               InvalidArgument);
+  opts.per_trial = Resources{1, -1};
+  EXPECT_THROW(tune_run(synthetic_trainable, lr_grid(), opts),
+               InvalidArgument);
+}
+
 TEST(TuneTest, BestThrowsWhenNoTrialReportedMetric) {
   const auto silent = [](const ParamSet&, Reporter&) {};
   TuneOptions opts;
@@ -282,6 +301,33 @@ TEST_F(TuneRetryTest, WorkerLevelCrashIsRetriedToo) {
     }
   }
   EXPECT_TRUE(saw_injected);
+}
+
+TEST_F(TuneRetryTest, OneSlotStartsTrialsAndRetriesInConfigOrder) {
+  // With a single slot the dispatch order is observable: round 0 starts
+  // every trial in configuration order, and the retry round starts the
+  // failed ones, again in configuration order.
+  std::vector<int64_t> starts;
+  std::map<int64_t, int> attempts;
+  const auto trainable = [&](const ParamSet& params, Reporter& reporter) {
+    const int64_t i = param_int(params, "i");
+    starts.push_back(i);
+    if (++attempts[i] == 1 && (i == 1 || i == 3 || i == 4)) {
+      throw IoError("transient");
+    }
+    reporter.report(0, {{"val_dice", 0.5}});
+  };
+  SearchSpace space;
+  space.choice("i", {int64_t{0}, int64_t{1}, int64_t{2}, int64_t{3},
+                     int64_t{4}, int64_t{5}});
+  TuneOptions opts;
+  opts.num_gpus = 1;
+  opts.retry.max_retries = 1;
+  opts.retry.backoff_base = 0.001;
+  opts.retry.backoff_cap = 0.01;
+  const TuneResult result = tune_run(trainable, space.grid(), opts);
+  EXPECT_EQ(result.count(TrialStatus::kTerminated), 6);
+  EXPECT_EQ(starts, (std::vector<int64_t>{0, 1, 2, 3, 4, 5, 1, 3, 4}));
 }
 
 TEST_F(TuneRetryTest, RetryAttemptSeesPriorProgress) {
@@ -609,6 +655,43 @@ TEST(TuneTest, CompletedTrialsLandInLedger) {
     EXPECT_DOUBLE_EQ(e->metrics.at("val_dice"),
                      t.last_metrics.at("val_dice"));
   }
+  std::filesystem::remove_all(root);
+}
+
+TEST(TuneTest, LedgerLineLandsWhileOtherTrialsStillRun) {
+  // A finished trial is made durable at once, not when its round ends:
+  // trial 1 keeps running until trial 0's ledger line is on disk.
+  const std::string root = fresh_root("early");
+  const std::string path = root + "/sweep_ledger.jsonl";
+  const auto trial0_recorded = [&] {
+    std::ifstream is(path);
+    LedgerEntry entry;
+    for (std::string line; std::getline(is, line);) {
+      if (SweepLedger::decode(line, &entry) && entry.id == 0) return true;
+    }
+    return false;
+  };
+  std::atomic<bool> seen{false};
+  const auto trainable = [&](const ParamSet& params, Reporter& reporter) {
+    if (param_double(params, "lr") < 5e-4) {  // trial 1
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!trial0_recorded() &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      seen.store(trial0_recorded());
+    }
+    reporter.report(0, {{"val_dice", 0.5}});
+  };
+  SearchSpace space;
+  space.choice("lr", {1e-3, 1e-4});
+  TuneOptions opts;
+  opts.num_gpus = 2;
+  opts.checkpoint_root = root;
+  const TuneResult result = tune_run(trainable, space.grid(), opts);
+  EXPECT_EQ(result.count(TrialStatus::kTerminated), 2);
+  EXPECT_TRUE(seen.load());
   std::filesystem::remove_all(root);
 }
 
