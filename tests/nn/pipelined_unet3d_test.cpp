@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
@@ -17,12 +21,12 @@ UNet3dOptions tiny(bool batch_norm = false, uint64_t seed = 21) {
   opts.base_filters = 2;
   opts.depth = 3;  // two skips cross the stage cut
   opts.seed = seed;
-  opts.batch_norm = batch_norm;
+  opts.norm = batch_norm ? NormKind::kBatch : NormKind::kNone;
   return opts;
 }
 
-NDArray random_batch(int64_t n, uint64_t seed) {
-  NDArray x(Shape{n, 1, 4, 4, 4});
+NDArray random_batch(int64_t n, uint64_t seed, int64_t side = 4) {
+  NDArray x(Shape{n, 1, side, side, side});
   Rng rng(seed);
   for (int64_t i = 0; i < x.numel(); ++i) {
     x[i] = static_cast<float>(rng.normal());
@@ -38,13 +42,46 @@ TEST(PipelinedUNet3dTest, SameParameterCountAsMonolithic) {
 
 TEST(PipelinedUNet3dTest, InitializationMatchesMonolithic) {
   // Same seed, same RNG consumption order -> identical weights, so the
-  // untrained forward passes must agree exactly.
-  UNet3d mono(tiny());
-  PipelinedUNet3d piped(tiny(), 2);
-  const NDArray x = random_batch(4, 3);
-  const NDArray mono_out = mono.forward(x, false);
-  const NDArray piped_out = piped.forward(x, false);
-  EXPECT_TRUE(piped_out.allclose(mono_out, 1e-6F));
+  // untrained forward passes must agree bit for bit, for every norm
+  // flavour and for one and for two skips across the stage cut.
+  for (const NormKind norm :
+       {NormKind::kNone, NormKind::kBatch, NormKind::kInstance}) {
+    for (const int depth : {2, 3}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "norm " << static_cast<int>(norm) << ", depth " << depth);
+      UNet3dOptions opts = tiny();
+      opts.norm = norm;
+      opts.depth = depth;
+      UNet3d mono(opts);
+      PipelinedUNet3d piped(opts, 2);
+      // Stage params are the monolithic ones behind a "stageK." prefix.
+      std::map<std::string, const NDArray*> mono_params;
+      for (const Param& p : mono.checkpoint_params()) {
+        mono_params.emplace(p.name, p.value);
+      }
+      const std::vector<Param> piped_params = piped.checkpoint_params();
+      ASSERT_EQ(piped_params.size(), mono_params.size());
+      for (const Param& p : piped_params) {
+        const std::string name = p.name.substr(p.name.find('.') + 1);
+        ASSERT_TRUE(mono_params.count(name)) << p.name;
+        const NDArray& a = *mono_params.at(name);
+        ASSERT_EQ(a.numel(), p.value->numel()) << name;
+        EXPECT_EQ(std::memcmp(a.data(), p.value->data(),
+                              static_cast<size_t>(a.numel()) * sizeof(float)),
+                  0)
+            << name;
+      }
+      // 8^3 keeps > 1 voxel per channel at the bottleneck (instance norm).
+      const NDArray x = random_batch(4, 3, 8);
+      const NDArray mono_out = mono.forward(x, false);
+      const NDArray piped_out = piped.forward(x, false);
+      ASSERT_EQ(piped_out.shape(), mono_out.shape());
+      EXPECT_EQ(std::memcmp(piped_out.data(), mono_out.data(),
+                            static_cast<size_t>(mono_out.numel()) *
+                                sizeof(float)),
+                0);
+    }
+  }
 }
 
 TEST(PipelinedUNet3dTest, MicrobatchCountInvariance) {
