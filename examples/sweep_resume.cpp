@@ -68,9 +68,10 @@ int main(int argc, char** argv) {
                                        ray::Reporter& reporter) {
     const int nth = ++started;
     if (first_run && crash_after >= 0 && nth > crash_after) {
-      // Die only after the driver has recorded the finished trials —
-      // the ledger appends race the worker, and a real preemption
-      // arrives long after earlier results were durably written.
+      // Die only after the finished trials are in the ledger, as a real
+      // preemption arrives long after earlier results were durably
+      // written. A slot writes a trial's ledger line before it starts
+      // the next trial, so with one slot this wait returns at once.
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
       while (ledger_lines() < crash_after &&

@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <initializer_list>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
-#include "common/knobs.hpp"
 #include "common/logging.hpp"
 
 namespace dmis::comm {
@@ -124,26 +122,14 @@ CommCostParams CommCostParams::defaults() { return CommCostParams{}; }
 const CommCostParams& CommCostParams::calibrated() {
   static const CommCostParams params = [] {
     CommCostParams p = defaults();
-    if (knobs::get<bool>(Knob::kCommCalib)) {
-      p.sync_us = measure_sync_us();
-      p.reduce_gbs = measure_gbs(/*reduce=*/true);
-      p.copy_gbs = measure_gbs(/*reduce=*/false);
-      // In-process "inter-node" links are the same memory bus.
-      p.inter_sync_us = p.sync_us;
-      p.inter_gbs = p.copy_gbs;
-      p.fp16_pack_gbs = measure_fp16_pack_gbs();
-      p.fp16_reduce_gbs = measure_fp16_reduce_gbs();
-    }
-    const auto pin = [](Knob knob, std::initializer_list<double*> fields) {
-      if (const auto v = knobs::find<double>(knob)) {
-        for (double* field : fields) *field = *v;
-      }
-    };
-    pin(Knob::kCommSyncUs, {&p.sync_us, &p.inter_sync_us});
-    pin(Knob::kCommReduceGbs, {&p.reduce_gbs});
-    pin(Knob::kCommCopyGbs, {&p.copy_gbs, &p.inter_gbs});
-    pin(Knob::kCommFp16PackGbs, {&p.fp16_pack_gbs});
-    pin(Knob::kCommFp16ReduceGbs, {&p.fp16_reduce_gbs});
+    p.sync_us = measure_sync_us();
+    p.reduce_gbs = measure_gbs(/*reduce=*/true);
+    p.copy_gbs = measure_gbs(/*reduce=*/false);
+    // In-process "inter-node" links are the same memory bus.
+    p.inter_sync_us = p.sync_us;
+    p.inter_gbs = p.copy_gbs;
+    p.fp16_pack_gbs = measure_fp16_pack_gbs();
+    p.fp16_reduce_gbs = measure_fp16_reduce_gbs();
     DMIS_LOG(kInfo) << "comm tuner calibrated: sync=" << p.sync_us
                    << "us reduce=" << p.reduce_gbs << "GB/s copy="
                    << p.copy_gbs << "GB/s fp16_pack=" << p.fp16_pack_gbs

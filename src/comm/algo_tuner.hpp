@@ -13,9 +13,8 @@
 // Calibration: the alphas/betas default to a one-shot process-wide
 // micro-benchmark (a barrier storm for alpha, streamed add/copy loops
 // for the betas, codec loops for the fp16 wire terms) so `auto` adapts
-// to the host. DMIS_COMM_CALIB=0 skips the micro-benchmark; the
-// DMIS_COMM_*_US / *_GBS knobs pin single parameters, which makes
-// choose() fully deterministic for tests.
+// to the host. Tests that need choose() fully deterministic construct
+// the tuner from explicit CommCostParams (GroupOptions::cost) instead.
 #pragma once
 
 #include <cstddef>
@@ -46,9 +45,8 @@ struct CommCostParams {
   /// The compiled-in defaults above, untouched by env or calibration.
   static CommCostParams defaults();
 
-  /// Process-wide calibrated parameters: micro-benchmark once (unless
-  /// DMIS_COMM_CALIB=0), then apply any pinned env overrides. Cached;
-  /// thread-safe; never recalibrates.
+  /// Process-wide calibrated parameters: micro-benchmarked once.
+  /// Cached; thread-safe; never recalibrates.
   static const CommCostParams& calibrated();
 };
 

@@ -46,15 +46,9 @@ constexpr KnobSpec kRegistry[] = {
      "none|fp16|topk"},
     {"DMIS_TOPK_RATIO", kPositiveDouble, "0.01", "Top-k fraction.", false,
      "", 0, 1},
-    {"DMIS_COMM_CALIB", kBool, "1", "Calibrate the tuner.", false, "0|1"},
-    {"DMIS_COMM_SYNC_US", kPositiveDouble, "", "Pin tuner latency (us)."},
-    {"DMIS_COMM_REDUCE_GBS", kPositiveDouble, "", "Pin reduce GB/s."},
-    {"DMIS_COMM_COPY_GBS", kPositiveDouble, "", "Pin copy GB/s."},
-    {"DMIS_COMM_FP16_PACK_GBS", kPositiveDouble, "", "Pin fp16 pack GB/s."},
-    {"DMIS_COMM_FP16_REDUCE_GBS", kPositiveDouble, "", "Pin fp16 add GB/s."},
 };
 static_assert(std::size(kRegistry) ==
-              static_cast<size_t>(Knob::kCommFp16ReduceGbs) + 1);
+              static_cast<size_t>(Knob::kTopkRatio) + 1);
 
 [[noreturn]] void reject(Knob knob, std::string_view text) {
   std::ostringstream os;

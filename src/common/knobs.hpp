@@ -22,8 +22,7 @@ enum class Knob : int {
   kObsLingerMs, kFlightDir, kServeWorkers, kServeQueue, kServeDeadlineMs,
   kServeVoxelBudget, kStragglerFactor, kBucketBytes, kElastic, kElasticGrow,
   kCommTimeoutMs, kCommLeaseMs, kCommAlgo, kCommRanksPerNode, kCompress,
-  kTopkRatio, kCommCalib, kCommSyncUs, kCommReduceGbs, kCommCopyGbs,
-  kCommFp16PackGbs, kCommFp16ReduceGbs,
+  kTopkRatio,
 };
 
 /// kInt and kBytes: decimal in [min, max]; kPositiveDouble: finite, in

@@ -3,43 +3,13 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <set>
 #include <thread>
 
 #include "common/check.hpp"
-#include "nn/layers/activations.hpp"
-#include "nn/layers/batchnorm.hpp"
-#include "nn/layers/concat.hpp"
-#include "nn/layers/conv3d.hpp"
-#include "nn/layers/conv_transpose3d.hpp"
-#include "nn/layers/instancenorm.hpp"
-#include "nn/layers/maxpool3d.hpp"
 
 namespace dmis::nn {
 namespace {
-
-/// conv + norm + relu into `graph`, mirroring UNet3d::conv_block so the
-/// RNG consumption order (and therefore the weights) match exactly.
-std::string conv_block(Graph& graph, const UNet3dOptions& opts,
-                       const std::string& name, const std::string& input,
-                       int64_t cin, int64_t cout, Rng& rng) {
-  graph.add(name + "_conv", std::make_unique<Conv3d>(cin, cout, 3, 1, 1, rng),
-            {input});
-  std::string prev = name + "_conv";
-  switch (opts.effective_norm()) {
-    case NormKind::kBatch:
-      graph.add(name + "_bn", std::make_unique<BatchNorm>(cout), {prev});
-      prev = name + "_bn";
-      break;
-    case NormKind::kInstance:
-      graph.add(name + "_in", std::make_unique<InstanceNorm>(cout), {prev});
-      prev = name + "_in";
-      break;
-    case NormKind::kNone:
-      break;
-  }
-  graph.add(name + "_relu", std::make_unique<ReLU>(), {prev});
-  return name + "_relu";
-}
 
 NDArray slice_batch(const NDArray& batch, int64_t lo, int64_t hi) {
   const Shape& s = batch.shape();
@@ -80,65 +50,39 @@ PipelinedUNet3d::PipelinedUNet3d(const UNet3dOptions& options,
                                  int num_microbatches)
     : opts_(options), num_microbatches_(num_microbatches) {
   DMIS_CHECK(num_microbatches >= 1, "need >= 1 microbatch");
-  DMIS_CHECK(options.depth >= 2, "U-Net depth must be >= 2");
-  Rng rng(options.seed);
 
-  // Stage 0 — analysis path. Same construction order as UNet3d.
+  // UNet3d's own builder, cut at the bottleneck: the analysis path goes
+  // to stage 0, the synthesis path and head to stage 1. Every encoder
+  // tensor the decoder reads — the bottleneck and the skips — crosses
+  // the cut and becomes a decoder input of the same name.
   encoder_.add_input("input");
-  std::string prev = "input";
-  int64_t prev_c = opts_.in_channels;
-  for (int s = 1; s <= opts_.depth; ++s) {
-    if (s > 1) {
-      encoder_.add("pool" + std::to_string(s - 1),
-                   std::make_unique<MaxPool3d>(2, 2), {prev});
-      prev = "pool" + std::to_string(s - 1);
+  std::set<std::string> encoder_nodes;
+  std::string bottom;
+  build_unet3d(opts_, [&](UNet3dNode n) {
+    if (!n.synthesis) {
+      encoder_.add(n.name, std::move(n.module), n.inputs);
+      encoder_nodes.insert(n.name);
+      bottom = n.name;
+      return;
     }
-    const int64_t f = opts_.filters(s);
-    const std::string base = "enc" + std::to_string(s);
-    prev = conv_block(encoder_, opts_, base + "a", prev, prev_c, f, rng);
-    prev = conv_block(encoder_, opts_, base + "b", prev, f, f, rng);
-    if (s < opts_.depth) {
-      skip_names_.push_back(prev);
+    for (const std::string& in : n.inputs) {
+      if (encoder_nodes.erase(in) != 0) {  // first read across the cut
+        decoder_.add_input(in);
+        boundary_.push_back(in);
+      }
     }
-    prev_c = f;
-  }
-  bottom_name_ = prev;
-  encoder_.set_output(prev);  // the bottleneck feature map
-
-  // Stage 1 — synthesis path + head. Boundary tensors become inputs.
-  decoder_.add_input("bottom");
-  for (int s = 1; s < opts_.depth; ++s) {
-    decoder_.add_input("skip" + std::to_string(s));
-  }
-  prev = "bottom";
-  for (int s = opts_.depth - 1; s >= 1; --s) {
-    const int64_t f = opts_.filters(s);
-    const std::string base = "dec" + std::to_string(s);
-    decoder_.add(base + "_up",
-                 std::make_unique<ConvTranspose3d>(prev_c, prev_c, 2, 2, rng),
-                 {prev});
-    decoder_.add(base + "_cat", std::make_unique<Concat>(2),
-                 {base + "_up", "skip" + std::to_string(s)});
-    prev = conv_block(decoder_, opts_, base + "a", base + "_cat", prev_c + f,
-                      f, rng);
-    prev = conv_block(decoder_, opts_, base + "b", prev, f, f, rng);
-    prev_c = f;
-  }
-  decoder_.add("head_conv",
-               std::make_unique<Conv3d>(prev_c, opts_.out_channels, 1, 1, 0,
-                                        rng),
-               {prev});
-  decoder_.add("head_sigmoid", std::make_unique<Sigmoid>(), {"head_conv"});
+    decoder_.add(n.name, std::move(n.module), n.inputs);
+  });
+  encoder_.set_output(bottom);
   decoder_.set_output("head_sigmoid");
 }
 
 std::map<std::string, NDArray> PipelinedUNet3d::run_stage0(
     const NDArray& input, bool training) {
+  (void)encoder_.forward({{"input", &input}}, training);
   std::map<std::string, NDArray> boundary;
-  boundary.emplace("bottom", encoder_.forward({{"input", &input}}, training));
-  for (size_t s = 0; s < skip_names_.size(); ++s) {
-    boundary.emplace("skip" + std::to_string(s + 1),
-                     encoder_.node_output(skip_names_[s]));
+  for (const std::string& name : boundary_) {
+    boundary.emplace(name, encoder_.node_output(name));
   }
   return boundary;
 }
@@ -222,11 +166,8 @@ void PipelinedUNet3d::backward(const NDArray& grad_output) {
       // the bottleneck + skip nodes with the downstream gradients.
       (void)run_stage0(mb.stage0_input, forward_was_training_);
       std::map<std::string, const NDArray*> seeds;
-      auto& grads = boundary_grads[static_cast<size_t>(i)];
-      seeds.emplace(bottom_name_, &grads.at("bottom"));
-      for (size_t s = 0; s < skip_names_.size(); ++s) {
-        seeds.emplace(skip_names_[s],
-                      &grads.at("skip" + std::to_string(s + 1)));
+      for (const auto& [name, grad] : boundary_grads[static_cast<size_t>(i)]) {
+        seeds.emplace(name, &grad);
       }
       encoder_.backward_multi(seeds);
     }
@@ -244,10 +185,8 @@ void PipelinedUNet3d::backward(const NDArray& grad_output) {
     decoder_.backward(grad_slice);
 
     auto& grads = boundary_grads[static_cast<size_t>(i)];
-    grads.emplace("bottom", decoder_.input_grad("bottom"));
-    for (size_t s = 0; s < skip_names_.size(); ++s) {
-      const std::string key = "skip" + std::to_string(s + 1);
-      grads.emplace(key, decoder_.input_grad(key));
+    for (const std::string& name : boundary_) {
+      grads.emplace(name, decoder_.input_grad(name));
     }
     to_stage0.push(i);
   }

@@ -21,9 +21,9 @@
 //    per-microbatch — the same semantic shift real GPipe has — and
 //    running stats see one extra update from the recomputation pass.
 //
-// Weight initialization consumes the RNG in the same order as the
-// monolithic UNet3d, so a PipelinedUNet3d and a UNet3d built from the
-// same options start bit-identical.
+// Both stages are built by UNet3d's own builder (build_unet3d), so a
+// PipelinedUNet3d and a UNet3d built from the same options have the
+// same nodes and start bit-identical.
 #pragma once
 
 #include <map>
@@ -76,8 +76,9 @@ class PipelinedUNet3d {
   int num_microbatches_;
   Graph encoder_;   // stage 0
   Graph decoder_;   // stage 1
-  std::string bottom_name_;                 // encoder output node
-  std::vector<std::string> skip_names_;     // encoder node names, s=1..d-1
+  // Encoder nodes the decoder reads (bottleneck + skips); each is also
+  // a decoder input of the same name.
+  std::vector<std::string> boundary_;
   std::vector<Microbatch> inflight_;
   bool forward_was_training_ = false;
 };

@@ -16,7 +16,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "nn/graph.hpp"
 #include "tensor/rng.hpp"
@@ -35,14 +38,8 @@ struct UNet3dOptions {
   int64_t out_channels = 1;   ///< Binary whole-tumor mask.
   int64_t base_filters = 8;   ///< Filters at the first resolution step.
   int depth = 4;              ///< Resolution steps (paper: 4).
-  bool batch_norm = true;     ///< Legacy switch: false forces NormKind::kNone.
   NormKind norm = NormKind::kBatch;  ///< Normalization flavour.
   uint64_t seed = 42;         ///< Initializer stream.
-
-  /// Effective normalization after applying the legacy batch_norm flag.
-  NormKind effective_norm() const {
-    return batch_norm ? norm : NormKind::kNone;
-  }
 
   /// The exact configuration benchmarked in the paper.
   static UNet3dOptions paper() { return UNet3dOptions{}; }
@@ -50,6 +47,22 @@ struct UNet3dOptions {
   /// Filters at resolution step s in [1, depth].
   int64_t filters(int s) const { return base_filters << (s - 1); }
 };
+
+/// One U-Net node as build_unet3d() emits it.
+struct UNet3dNode {
+  bool synthesis = false;  ///< Synthesis path or head (else analysis path).
+  std::string name;
+  std::unique_ptr<Module> module;
+  std::vector<std::string> inputs;
+};
+
+/// Builds the U-Net of `opts` node by node, in the order that fixes its
+/// weights (the RNG draw order): analysis path, synthesis path, head.
+/// The first node reads the graph input "input"; the last one is the
+/// output "head_sigmoid". UNet3d adds every node to one graph;
+/// PipelinedUNet3d cuts them into an encoder and a decoder stage.
+void build_unet3d(const UNet3dOptions& opts,
+                  const std::function<void(UNet3dNode)>& add);
 
 /// A ready-wired U-Net graph with single-tensor convenience entry points.
 class UNet3d {
@@ -75,10 +88,6 @@ class UNet3d {
   int64_t spatial_divisor() const { return int64_t{1} << (opts_.depth - 1); }
 
  private:
-  /// Adds conv(3x3x3) [+BN] +ReLU; returns the output node name.
-  std::string conv_block(const std::string& name, const std::string& input,
-                         int64_t cin, int64_t cout, Rng& rng);
-
   UNet3dOptions opts_;
   Graph graph_;
 };

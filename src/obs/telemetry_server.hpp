@@ -5,7 +5,7 @@
 //
 //   /metrics  Prometheus text exposition (version 0.0.4) of every
 //             registered instrument — cumulative counters/gauges/
-//             histograms plus the rolling instruments' windowed rates
+//             histograms plus the rolling histograms' windowed rates
 //             and streaming quantiles.
 //   /healthz  200 {"status":"ok"} while serve's circuit breaker is
 //             closed (serve.health gauge == 0 or absent), 503

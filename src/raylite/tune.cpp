@@ -1,14 +1,20 @@
 #include "raylite/tune.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <filesystem>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 
 #include "comm/communicator.hpp"
 #include "common/check.hpp"
+#include "common/fault_injector.hpp"
 #include "common/logging.hpp"
 #include "nn/checkpoint.hpp"
 #include "obs/metrics.hpp"
@@ -226,14 +232,22 @@ TuneResult tune_run(const Trainable& trainable,
 
   const int cpus =
       options.num_cpus > 0 ? options.num_cpus : options.num_gpus;
-  // One worker thread per admissible concurrent trial.
-  const int max_parallel = std::max(
-      1, std::min(options.per_trial.gpus > 0
-                      ? options.num_gpus / std::max(1, options.per_trial.gpus)
-                      : static_cast<int>(configs.size()),
-                  options.per_trial.cpus > 0
-                      ? cpus / std::max(1, options.per_trial.cpus)
-                      : static_cast<int>(configs.size())));
+  const Resources& per_trial = options.per_trial;
+  DMIS_CHECK(per_trial.gpus >= 0 && per_trial.cpus >= 0,
+             "negative per-trial request {gpus:" << per_trial.gpus
+                                                 << ", cpus:" << per_trial.cpus
+                                                 << "}");
+  DMIS_CHECK(per_trial.gpus <= options.num_gpus && per_trial.cpus <= cpus,
+             "per-trial request {gpus:" << per_trial.gpus << ", cpus:"
+                                        << per_trial.cpus
+                                        << "} exceeds cluster total {gpus:"
+                                        << options.num_gpus
+                                        << ", cpus:" << cpus << "}");
+  // Concurrent trial slots: how many per-trial shares fit in the pool.
+  const int n_configs = static_cast<int>(configs.size());
+  const int max_parallel = std::min(
+      per_trial.gpus > 0 ? options.num_gpus / per_trial.gpus : n_configs,
+      per_trial.cpus > 0 ? cpus / per_trial.cpus : n_configs);
 
   TuneResult result;
   result.trials.resize(configs.size());
@@ -291,149 +305,172 @@ TuneResult tune_run(const Trainable& trainable,
   }
 
   const int max_attempts = 1 + options.retry.max_retries;
+  TuneMetrics& metrics = TuneMetrics::get();
 
-  {
-    RayLite cluster(Resources{options.num_gpus, cpus}, max_parallel);
-    std::vector<size_t> pending;
-    pending.reserve(configs.size());
-    for (size_t i = 0; i < configs.size(); ++i) {
-      if (!adopted[i]) pending.push_back(i);
+  const auto record_error = [&](Trial& trial, const std::exception& e) {
+    const std::lock_guard<std::mutex> lock(trials_mutex);
+    trial.status = TrialStatus::kError;
+    trial.error = e.what();
+    trial.permanent_error = is_permanent_failure(e);
+  };
+
+  // One attempt of trial i on a slot thread; the outcome, success or
+  // exception, is recorded on the trial.
+  const auto run_attempt = [&](size_t i, int64_t submit_us) {
+    Trial& trial = result.trials[i];
+    try {
+      // Failure point: a slot dying as it picks up the trial (the
+      // preemption / OOM-kill case), before the trainable starts.
+      common::FaultInjector::instance().maybe_fail("raylite.task");
+    } catch (const std::exception& e) {
+      record_error(trial, e);
+      return;
+    }
+    // The queue-wait span begins when the round is dispatched on the
+    // driver thread and ends here, so it is recorded with explicit
+    // timestamps rather than a guard.
+    const int64_t start_us = obs::Tracer::now_us();
+    obs::Tracer::instance().record_span("tune.queue_wait", submit_us,
+                                        start_us - submit_us,
+                                        {{"trial", static_cast<int64_t>(i)}});
+    metrics.queue_wait_us.observe(static_cast<double>(start_us - submit_us));
+    std::string ckpt_dir;
+    int64_t start_iteration = 0;
+    int attempt = 0;
+    {
+      const std::lock_guard<std::mutex> lock(trials_mutex);
+      trial.status = TrialStatus::kRunning;
+      ckpt_dir = trial.checkpoint_dir;
+      // A retried attempt resumes after the last iteration the previous
+      // attempt managed to report.
+      start_iteration = trial.iterations;
+      attempt = trial.attempts;
+    }
+    DMIS_TRACE_SPAN("tune.trial",
+                    {{"trial", static_cast<int64_t>(i)}, {"attempt", attempt}});
+    TrialReporter reporter(trial, trials_mutex, asha.get(),
+                           std::move(ckpt_dir), start_iteration);
+    try {
+      trainable(configs[i], reporter);
+      const std::lock_guard<std::mutex> lock(trials_mutex);
+      trial.status = reporter.should_stop() ? TrialStatus::kStopped
+                                            : TrialStatus::kTerminated;
+    } catch (const std::exception& e) {
+      record_error(trial, e);
+    }
+    metrics.trial_us.observe(
+        static_cast<double>(obs::Tracer::now_us() - start_us));
+  };
+
+  // Settles a finished attempt: a completed trial is recorded in the
+  // ledger at once; a failure with retry budget left goes back to
+  // kPending for the next round.
+  std::mutex ledger_mutex;
+  std::exception_ptr ledger_error;  // first failed write, rethrown at round end
+  const auto settle_attempt = [&](size_t i) {
+    std::optional<LedgerEntry> completed;
+    {
+      const std::lock_guard<std::mutex> lock(trials_mutex);
+      Trial& trial = result.trials[i];
+      if (trial.status != TrialStatus::kError) {
+        metrics.trials_completed.add(1);
+        if (ledger != nullptr) {
+          LedgerEntry entry;
+          entry.id = trial.id;
+          entry.status = trial_status_name(trial.status);
+          entry.iterations = trial.iterations;
+          entry.params = param_set_str(configs[i]);
+          entry.metrics = trial.last_metrics;
+          completed = std::move(entry);
+        }
+      } else if (trial.permanent_error && options.retry.max_retries > 0) {
+        // Retrying a permanent error reproduces it; fail now and leave
+        // the retry budget to failures that can heal.
+        trial.status = TrialStatus::kFailed;
+        metrics.permanent_failures.add(1);
+        metrics.trials_failed.add(1);
+      } else if (trial.attempts < max_attempts) {
+        metrics.transient_failures.add(1);
+        trial.transient_errors.push_back(std::move(trial.error));
+        trial.error.clear();
+        trial.status = TrialStatus::kPending;
+      } else if (options.retry.max_retries > 0) {
+        trial.status = TrialStatus::kFailed;
+        metrics.trials_failed.add(1);
+      } else {
+        // max_retries == 0: keep legacy kError accounting.
+        metrics.trials_failed.add(1);
+      }
+    }
+    // The durable append runs outside trials_mutex so a (fsync'd)
+    // ledger rewrite never stalls reporters of running trials.
+    if (completed.has_value()) {
+      const std::lock_guard<std::mutex> lock(ledger_mutex);
+      try {
+        ledger->record(*completed);
+      } catch (...) {
+        if (ledger_error == nullptr) ledger_error = std::current_exception();
+      }
+    }
+  };
+
+  std::vector<size_t> pending;
+  pending.reserve(configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    if (!adopted[i]) pending.push_back(i);
+  }
+
+  // Round-based rescheduling: round 0 dispatches every trial; round
+  // k > 0 redispatches the trials that failed round k-1 after an
+  // exponentially growing delay. Trials that succeed are never
+  // resubmitted, so the loop terminates after at most
+  // 1 + max_retries rounds.
+  // Jitter source for the retry backoff: many drivers that failed on
+  // the same shared-resource hiccup must not wake in lockstep, so
+  // each delay is shaved by a random fraction of up to `jitter`.
+  std::mt19937_64 jitter_rng{std::random_device{}()};
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int round = 0; !pending.empty(); ++round) {
+    if (round > 0) {
+      DMIS_TRACE_SPAN("tune.retry_backoff",
+                      {{"round", round},
+                       {"trials", static_cast<int64_t>(pending.size())}});
+      metrics.retry_rounds.add(1);
+      const double delay_s =
+          std::min(options.retry.backoff_cap,
+                   options.retry.backoff_base *
+                       std::pow(2.0, static_cast<double>(round - 1))) *
+          (1.0 - unit(jitter_rng) * options.retry.jitter);
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
     }
 
-    // Round-based rescheduling: round 0 dispatches every trial; round
-    // k > 0 redispatches the trials that failed round k-1 after an
-    // exponentially growing delay. Trials that succeed are never
-    // resubmitted, so the loop terminates after at most
-    // 1 + max_retries rounds.
-    TuneMetrics& metrics = TuneMetrics::get();
-    // Jitter source for the retry backoff: many drivers that failed on
-    // the same shared-resource hiccup must not wake in lockstep, so
-    // each delay is shaved by a random fraction of up to `jitter`.
-    std::mt19937_64 jitter_rng{std::random_device{}()};
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-    for (int round = 0; !pending.empty(); ++round) {
-      if (round > 0) {
-        DMIS_TRACE_SPAN("tune.retry_backoff",
-                        {{"round", round},
-                         {"trials", static_cast<int64_t>(pending.size())}});
-        metrics.retry_rounds.add(1);
-        const double delay_s =
-            std::min(options.retry.backoff_cap,
-                     options.retry.backoff_base *
-                         std::pow(2.0, static_cast<double>(round - 1))) *
-            (1.0 - unit(jitter_rng) * options.retry.jitter);
-        std::this_thread::sleep_for(std::chrono::duration<double>(delay_s));
+    for (const size_t i : pending) ++result.trials[i].attempts;
+    metrics.attempts.add(static_cast<int64_t>(pending.size()));
+    const int64_t submit_us = obs::Tracer::now_us();
+    // Slot threads claim trials from a shared cursor, so trials start
+    // in configuration order and a slot takes the next trial as soon as
+    // its current one is settled.
+    std::atomic<size_t> cursor{0};
+    const auto slot = [&] {
+      for (size_t k = cursor++; k < pending.size(); k = cursor++) {
+        run_attempt(pending[k], submit_us);
+        settle_attempt(pending[k]);
       }
+    };
+    std::vector<std::thread> slots;
+    const size_t n_slots =
+        std::min(static_cast<size_t>(max_parallel), pending.size());
+    for (size_t s = 0; s < n_slots; ++s) slots.emplace_back(slot);
+    for (std::thread& t : slots) t.join();
+    if (ledger_error != nullptr) std::rethrow_exception(ledger_error);
 
-      std::vector<Future> futures;
-      futures.reserve(pending.size());
-      for (const size_t i : pending) {
-        int attempt;
-        {
-          const std::lock_guard<std::mutex> lock(trials_mutex);
-          attempt = ++result.trials[i].attempts;
-        }
-        metrics.attempts.add(1);
-        const int64_t submit_us = obs::Tracer::now_us();
-        futures.push_back(cluster.submit(
-            options.per_trial, [&, i, attempt, submit_us]() -> std::any {
-              // The queue-wait span begins at submission on the driver
-              // thread and ends here on the worker, so it is recorded
-              // with explicit timestamps rather than a guard.
-              const int64_t start_us = obs::Tracer::now_us();
-              obs::Tracer::instance().record_span(
-                  "tune.queue_wait", submit_us, start_us - submit_us,
-                  {{"trial", static_cast<int64_t>(i)}});
-              metrics.queue_wait_us.observe(
-                  static_cast<double>(start_us - submit_us));
-              DMIS_TRACE_SPAN("tune.trial",
-                              {{"trial", static_cast<int64_t>(i)},
-                               {"attempt", attempt}});
-              Trial& trial = result.trials[i];
-              std::string ckpt_dir;
-              int64_t start_iteration = 0;
-              {
-                const std::lock_guard<std::mutex> lock(trials_mutex);
-                trial.status = TrialStatus::kRunning;
-                ckpt_dir = trial.checkpoint_dir;
-                // A retried attempt resumes after the last iteration
-                // the previous attempt managed to report.
-                start_iteration = trial.iterations;
-              }
-              TrialReporter reporter(trial, trials_mutex, asha.get(),
-                                     std::move(ckpt_dir), start_iteration);
-              try {
-                trainable(configs[i], reporter);
-                const std::lock_guard<std::mutex> lock(trials_mutex);
-                trial.status = reporter.should_stop()
-                                   ? TrialStatus::kStopped
-                                   : TrialStatus::kTerminated;
-              } catch (const std::exception& e) {
-                const std::lock_guard<std::mutex> lock(trials_mutex);
-                trial.status = TrialStatus::kError;
-                trial.error = e.what();
-                trial.permanent_error = is_permanent_failure(e);
-              }
-              metrics.trial_us.observe(
-                  static_cast<double>(obs::Tracer::now_us() - start_us));
-              return {};
-            }));
+    std::vector<size_t> failed;
+    for (const size_t i : pending) {
+      if (result.trials[i].status == TrialStatus::kPending) {
+        failed.push_back(i);
       }
-
-      std::vector<size_t> failed;
-      for (size_t k = 0; k < pending.size(); ++k) {
-        const size_t i = pending[k];
-        try {
-          (void)futures[k].get();
-        } catch (const std::exception& e) {
-          // The worker died before/around the trainable (injected
-          // preemption): the task body never recorded the failure.
-          const std::lock_guard<std::mutex> lock(trials_mutex);
-          result.trials[i].status = TrialStatus::kError;
-          result.trials[i].error = e.what();
-          result.trials[i].permanent_error = is_permanent_failure(e);
-        }
-        std::optional<LedgerEntry> completed;
-        {
-          const std::lock_guard<std::mutex> lock(trials_mutex);
-          Trial& trial = result.trials[i];
-          if (trial.status != TrialStatus::kError) {
-            metrics.trials_completed.add(1);
-            if (ledger != nullptr) {
-              LedgerEntry entry;
-              entry.id = trial.id;
-              entry.status = trial_status_name(trial.status);
-              entry.iterations = trial.iterations;
-              entry.params = param_set_str(configs[i]);
-              entry.metrics = trial.last_metrics;
-              completed = std::move(entry);
-            }
-          } else if (trial.permanent_error && options.retry.max_retries > 0) {
-            // Retrying a permanent error reproduces it; fail now and
-            // leave the retry budget to failures that can heal.
-            trial.status = TrialStatus::kFailed;
-            metrics.permanent_failures.add(1);
-            metrics.trials_failed.add(1);
-          } else if (trial.attempts < max_attempts) {
-            metrics.transient_failures.add(1);
-            trial.transient_errors.push_back(std::move(trial.error));
-            trial.error.clear();
-            trial.status = TrialStatus::kPending;
-            failed.push_back(i);
-          } else if (options.retry.max_retries > 0) {
-            trial.status = TrialStatus::kFailed;
-            metrics.trials_failed.add(1);
-          } else {
-            // max_retries == 0: keep legacy kError accounting.
-            metrics.trials_failed.add(1);
-          }
-        }
-        // The durable append runs outside trials_mutex so a (fsync'd)
-        // ledger rewrite never stalls reporters of running trials.
-        if (completed.has_value()) ledger->record(*completed);
-      }
-      pending = std::move(failed);
     }
+    pending = std::move(failed);
   }
   return result;
 }

@@ -6,6 +6,12 @@
 // then executes the batch of experiments over the cluster, one GPU per
 // trial by default.
 //
+// Execution: tune_run owns its trial threads. Each round starts one
+// thread per concurrent slot (the GPU/CPU pool divided by `per_trial`,
+// capped at the number of trials to run); the threads claim trials from
+// a shared cursor, so trials start in configuration order, and a slot
+// picks up the next trial as soon as its current one finishes.
+//
 // Trial schedulers: FIFO (Tune's default queue — what the paper
 // benchmarks) and ASHA (asynchronous successive halving) early stopping
 // as the extension the paper's future work points toward.
@@ -32,16 +38,19 @@
 
 #include <functional>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "raylite/raylite.hpp"
 #include "raylite/search_space.hpp"
 
 namespace dmis::ray {
+
+/// A resource amount: the cluster pool or one trial's share of it.
+struct Resources {
+  int gpus = 0;
+  int cpus = 1;
+};
 
 enum class TrialStatus {
   kPending,
@@ -166,9 +175,10 @@ struct TuneResult {
   int64_t transient_failures() const;
 };
 
-/// Runs every configuration through `trainable` on a RayLite cluster.
-/// Trials are dispatched in order; each occupies `per_trial` resources.
-/// Failed trials are rescheduled per `options.retry`.
+/// Runs every configuration through `trainable`, as many at once as
+/// `per_trial` resources fit in the pool. Trials start in order; failed
+/// trials are rescheduled per `options.retry`. Throws InvalidArgument
+/// for a negative `per_trial` or one larger than the pool.
 TuneResult tune_run(const Trainable& trainable,
                     const std::vector<ParamSet>& configs,
                     const TuneOptions& options);

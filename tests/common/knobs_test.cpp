@@ -127,22 +127,13 @@ const std::vector<Forms>& table() {
        {"gzip", "FP16", "fp32", "topk "}},
       {Knob::kTopkRatio, "DMIS_TOPK_RATIO", {"0.01", "0.25", "1", "1.0"},
        plus(kBadDouble, {"1.5", "0.0"})},
-      {Knob::kCommCalib, "DMIS_COMM_CALIB", {"0", "1"}, kBadBool},
-      {Knob::kCommSyncUs, "DMIS_COMM_SYNC_US", {"2", "0.5", "1e3"},
-       kBadDouble},
-      {Knob::kCommReduceGbs, "DMIS_COMM_REDUCE_GBS", {"4", "12.5"},
-       kBadDouble},
-      {Knob::kCommCopyGbs, "DMIS_COMM_COPY_GBS", {"8"}, kBadDouble},
-      {Knob::kCommFp16PackGbs, "DMIS_COMM_FP16_PACK_GBS", {"8"}, kBadDouble},
-      {Knob::kCommFp16ReduceGbs, "DMIS_COMM_FP16_REDUCE_GBS", {"2"},
-       kBadDouble},
   };
   return forms;
 }
 
 TEST_F(KnobsTest, RegistryListsEveryKnobOnceInEnumOrder) {
   ASSERT_EQ(knobs::registry().size(), table().size());
-  ASSERT_EQ(knobs::registry().size(), 28U);
+  ASSERT_EQ(knobs::registry().size(), 22U);
   std::set<std::string_view> names;
   for (size_t i = 0; i < table().size(); ++i) {
     const Forms& f = table()[i];
@@ -187,7 +178,7 @@ TEST_F(KnobsTest, EmptyMeansUnset) {
   }
   EXPECT_EQ(knobs::get<int64_t>(Knob::kCommLeaseMs), 2000);
   EXPECT_EQ(knobs::get<int64_t>(Knob::kCommLeaseMs, 5000), 5000);
-  EXPECT_FALSE(knobs::find<double>(Knob::kCommSyncUs).has_value());
+  EXPECT_FALSE(knobs::find<int64_t>(Knob::kObsPort).has_value());
   EXPECT_FALSE(knobs::find<std::string>(Knob::kMetrics).has_value());
 }
 
@@ -214,9 +205,10 @@ TEST_F(KnobsTest, EnvWinsOverConfiguredWhichWinsOverDefault) {
 TEST_F(KnobsTest, ParsesTypedValues) {
   EXPECT_EQ(knobs::parse<size_t>(Knob::kBucketBytes, "16384"), 16384U);
   EXPECT_EQ(knobs::default_value<size_t>(Knob::kBucketBytes), 1U << 20);
-  EXPECT_DOUBLE_EQ(knobs::parse<double>(Knob::kCommSyncUs, "1e3"), 1000.0);
-  EXPECT_TRUE(knobs::parse<bool>(Knob::kCommCalib, "1"));
-  EXPECT_FALSE(knobs::parse<bool>(Knob::kCommCalib, "0"));
+  EXPECT_DOUBLE_EQ(knobs::parse<double>(Knob::kStragglerFactor, "1e3"),
+                   1000.0);
+  EXPECT_TRUE(knobs::parse<bool>(Knob::kElastic, "1"));
+  EXPECT_FALSE(knobs::parse<bool>(Knob::kElastic, "0"));
   EXPECT_EQ(knobs::parse<int>(Knob::kCommAlgo, "hier"), 2);
   // kEnum words map to enumerators by position.
   const auto level = [](const char* word) {
@@ -231,12 +223,11 @@ TEST_F(KnobsTest, ParsesTypedValues) {
 TEST_F(KnobsTest, ValuesTheCodeUsedToAcceptSilentlyAreRejected) {
   // Each of these once parsed to something else without a word:
   // "abc" workers became 0, "12abc" a 12 ms lease, "junk" turned
-  // elastic mode on, "off" left calibration on.
+  // elastic mode on.
   const std::vector<std::pair<Knob, const char*>> cases = {
       {Knob::kServeWorkers, "abc"},
       {Knob::kCommLeaseMs, "12abc"},
       {Knob::kElastic, "junk"},
-      {Knob::kCommCalib, "off"},
   };
   for (const auto& [knob, text] : cases) {
     SCOPED_TRACE(text);

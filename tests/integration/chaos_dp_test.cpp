@@ -47,7 +47,7 @@ nn::UNet3dOptions tiny_model() {
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = 23;
-  opts.batch_norm = false;
+  opts.norm = nn::NormKind::kNone;
   return opts;
 }
 

@@ -92,19 +92,5 @@ TEST(UNet3dNormTest, InstanceNormVariantBuildsAndTrains) {
   EXPECT_EQ(net.num_params(), bn_net.num_params());
 }
 
-TEST(UNet3dNormTest, LegacyFlagForcesNoNorm) {
-  UNet3dOptions opts;
-  opts.in_channels = 1;
-  opts.base_filters = 2;
-  opts.depth = 2;
-  opts.batch_norm = false;
-  opts.norm = NormKind::kInstance;  // overridden by the legacy flag
-  EXPECT_EQ(opts.effective_norm(), NormKind::kNone);
-  UNet3d none_net(opts);
-  opts.batch_norm = true;
-  UNet3d in_net(opts);
-  EXPECT_LT(none_net.num_params(), in_net.num_params());
-}
-
 }  // namespace
 }  // namespace dmis::nn

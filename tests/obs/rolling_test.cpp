@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace dmis::obs {
 namespace {
@@ -16,41 +15,6 @@ namespace {
 constexpr int64_t kWindowUs = 10'000'000;  // 10 s in 10 slots of 1 s
 constexpr int kSlots = 10;
 constexpr int64_t kSlotUs = kWindowUs / kSlots;
-
-TEST(RollingCounterTest, WindowForgetsOldSlots) {
-  RollingCounter c("test.rc", kWindowUs, kSlots);
-  c.add_at(1 * kSlotUs, 5);
-  c.add_at(2 * kSlotUs, 7);
-  EXPECT_EQ(c.windowed_at(2 * kSlotUs), 12);
-  EXPECT_EQ(c.total(), 12);
-
-  // Advance just past the window: slot 1 fell out, slot 2 remains.
-  EXPECT_EQ(c.windowed_at((1 + kSlots) * kSlotUs), 7);
-  // Far future: everything forgotten, total still cumulative.
-  EXPECT_EQ(c.windowed_at(100 * kSlotUs), 0);
-  EXPECT_EQ(c.total(), 12);
-}
-
-TEST(RollingCounterTest, SlotReuseZeroesStaleCounts) {
-  RollingCounter c("test.rc2", kWindowUs, kSlots);
-  c.add_at(3 * kSlotUs, 100);
-  // Same ring index one full revolution later must not inherit the 100.
-  c.add_at((3 + kSlots) * kSlotUs, 1);
-  EXPECT_EQ(c.windowed_at((3 + kSlots) * kSlotUs), 1);
-}
-
-TEST(RollingCounterTest, RateUsesCoveredSpan) {
-  // Rates divide by covered time = min(window, instrument age), so the
-  // timestamps here must be anchored at the real construction time.
-  const int64_t t0 = Tracer::now_us();
-  RollingCounter c("test.rc3", kWindowUs, kSlots);
-  // 50 events in the first slot of life: the denominator clamps to one
-  // slot width, not the whole empty window.
-  c.add_at(t0 + kSlotUs / 2, 50);
-  EXPECT_GE(c.rate_at(t0 + kSlotUs / 2), 45.0);
-  // Nine slots later the covered span has grown to ~9 s: 50/9 ~ 5.6.
-  EXPECT_NEAR(c.rate_at(t0 + kWindowUs - kSlotUs), 50.0 / 9.0, 1.0);
-}
 
 TEST(RollingHistogramTest, QuantilesTrackTheWindow) {
   RollingHistogram h("test.rh", {10.0, 100.0, 1000.0}, kWindowUs, kSlots);
@@ -87,7 +51,6 @@ TEST(RollingHistogramTest, WindowedBucketsMergeLiveSlotsOnly) {
 
 TEST(RollingTest, ConcurrentAddersAndReadersAreExact) {
   // Default 60 s window: nothing expires mid-test.
-  RollingCounter c("test.rc4");
   RollingHistogram h("test.rh3", {1e3, 1e6});
   constexpr int kThreads = 4;
   constexpr int kPerThread = 20000;
@@ -96,7 +59,6 @@ TEST(RollingTest, ConcurrentAddersAndReadersAreExact) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
-        c.add(1);
         h.observe(500.0);
       }
     });
@@ -105,27 +67,24 @@ TEST(RollingTest, ConcurrentAddersAndReadersAreExact) {
   for (int t = 0; t < 2; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 2000; ++i) {
-        (void)c.rate_per_sec();
+        (void)h.rate_per_sec();
         (void)h.quantile(0.5);
       }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(c.total(), int64_t{kThreads} * kPerThread);
-  EXPECT_EQ(c.windowed(), int64_t{kThreads} * kPerThread);
   EXPECT_EQ(h.windowed_count(), int64_t{kThreads} * kPerThread);
 }
 
 TEST(RollingTest, RegistryRegistrationIsFirstWinsAndStable) {
   auto& reg = MetricsRegistry::instance();
-  RollingCounter& a = reg.rolling_counter("test.reg_rc");
-  RollingCounter& b = reg.rolling_counter("test.reg_rc", 5'000'000);
-  EXPECT_EQ(&a, &b);
   RollingHistogram& ha = reg.rolling_histogram("test.reg_rh");
-  RollingHistogram& hb = reg.rolling_histogram("test.reg_rh");
+  RollingHistogram& hb =
+      reg.rolling_histogram("test.reg_rh", {1.0}, 5'000'000);
   EXPECT_EQ(&ha, &hb);
+  ha.observe(3.0);
   reg.reset();
-  EXPECT_EQ(a.total(), 0);
+  EXPECT_EQ(ha.windowed_count(), 0);
 }
 
 }  // namespace

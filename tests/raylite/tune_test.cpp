@@ -282,8 +282,8 @@ TEST_F(TuneRetryTest, ExhaustedRetriesLandInFailedNotError) {
 }
 
 TEST_F(TuneRetryTest, WorkerLevelCrashIsRetriedToo) {
-  // Kill the task at the RayLite worker layer (before the trainable
-  // even runs) — the injected preemption case.
+  // Kill the attempt on its slot thread (before the trainable even
+  // runs) — the injected preemption case.
   common::FaultInjector::instance().arm_nth_call("raylite.task", 2);
   TuneOptions opts;
   opts.num_gpus = 1;  // serial: deterministic victim

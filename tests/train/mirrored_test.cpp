@@ -36,7 +36,7 @@ nn::UNet3dOptions tiny_model(bool batch_norm) {
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = 11;
-  opts.batch_norm = batch_norm;
+  opts.norm = batch_norm ? nn::NormKind::kBatch : nn::NormKind::kNone;
   return opts;
 }
 

@@ -62,7 +62,7 @@ TEST(PipelineParallelStrategyTest, TrainsToConvergence) {
 
 TEST(PipelineParallelStrategyTest, MatchesPlainTrainerWithoutBatchNorm) {
   nn::UNet3dOptions model_opts = tiny_model();
-  model_opts.batch_norm = false;
+  model_opts.norm = nn::NormKind::kNone;
 
   TrainOptions topt;
   topt.epochs = 3;

@@ -49,7 +49,7 @@ nn::UNet3dOptions tiny_model(uint64_t seed = 7, bool batch_norm = true) {
   opts.base_filters = 2;
   opts.depth = 2;
   opts.seed = seed;
-  opts.batch_norm = batch_norm;
+  opts.norm = batch_norm ? nn::NormKind::kBatch : nn::NormKind::kNone;
   return opts;
 }
 

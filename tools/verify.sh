@@ -4,8 +4,8 @@
 # AddressSanitizer pass over the kernel-heavy suites (SGEMM/im2col, conv
 # parity and gradchecks — where indexing bugs would scribble) and the
 # knob parser (common_test, also run under UBSan), a
-# ThreadSanitizer pass over the concurrency-heavy suites (raylite tasks/
-# tune retries, comm collectives + async comm workers — repeated
+# ThreadSanitizer pass over the concurrency-heavy suites (tune_run's
+# trial slot threads and retries, comm collectives + async comm workers — repeated
 # under DMIS_COMM_ALGO=tree and =hier so every schedule's rendezvous
 # choreography is raced — the gradient bucketer and mirrored strategy,
 # the fault injector, the telemetry registry/tracer, the segmentation
@@ -16,11 +16,12 @@
 # smokes that
 # check the telemetry exports are valid, non-empty JSON — including
 # that the bucketed gradient sync genuinely overlaps allreduce with
-# backward — and benchmark runs that regenerate BENCH_conv3d.json /
-# BENCH_allreduce.json / BENCH_serve.json and assert the floors the
-# optimization PRs promised (gemm vs naive conv; bucketed vs per-tensor
-# gradient sync; serve worker-pool scaling and zero shed at nominal
-# load).
+# backward — and benchmark runs that write BENCH_conv3d.json /
+# BENCH_allreduce.json / BENCH_serve.json into build/ (the committed
+# copies in the repository root are left alone) and assert the floors
+# the optimization PRs promised (gemm vs naive conv; bucketed vs
+# per-tensor gradient sync; serve worker-pool scaling and zero shed at
+# nominal load).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -370,9 +371,9 @@ strip_adopted() { printf '%s\n' "$1" | sed 's/adopted=[0-9]* //'; }
 echo "== bench: conv kernels, gemm vs naive =="
 ./build/bench/bench_conv3d --benchmark_filter='Conv' \
   --benchmark_min_time=0.1 \
-  --benchmark_out=BENCH_conv3d.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_conv3d.json --benchmark_out_format=json \
   >/dev/null
-python3 - BENCH_conv3d.json <<'EOF'
+python3 - build/BENCH_conv3d.json <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -410,9 +411,9 @@ echo "== bench: gradient sync + collective algorithms =="
   --benchmark_min_time=0.1 \
   --benchmark_repetitions=9 \
   --benchmark_enable_random_interleaving=true \
-  --benchmark_out=BENCH_allreduce.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_allreduce.json --benchmark_out_format=json \
   >/dev/null
-python3 - BENCH_allreduce.json <<'EOF'
+python3 - build/BENCH_allreduce.json <<'EOF'
 import json, sys
 
 with open(sys.argv[1]) as f:
@@ -498,9 +499,9 @@ EOF
 echo "== bench: serving throughput across worker-pool sizes =="
 ./build/bench/bench_serve \
   --benchmark_min_time=0.2 \
-  --benchmark_out=BENCH_serve.json --benchmark_out_format=json \
+  --benchmark_out=build/BENCH_serve.json --benchmark_out_format=json \
   >/dev/null
-CORES="$(nproc)" python3 - BENCH_serve.json <<'EOF'
+CORES="$(nproc)" python3 - build/BENCH_serve.json <<'EOF'
 import json, os, sys
 
 with open(sys.argv[1]) as f:
