@@ -366,7 +366,6 @@ TuneResult tune_run(const Trainable& trainable,
   // ledger at once; a failure with retry budget left goes back to
   // kPending for the next round.
   std::mutex ledger_mutex;
-  std::exception_ptr ledger_error;  // first failed write, rethrown at round end
   const auto settle_attempt = [&](size_t i) {
     std::optional<LedgerEntry> completed;
     {
@@ -406,11 +405,7 @@ TuneResult tune_run(const Trainable& trainable,
     // ledger rewrite never stalls reporters of running trials.
     if (completed.has_value()) {
       const std::lock_guard<std::mutex> lock(ledger_mutex);
-      try {
-        ledger->record(*completed);
-      } catch (...) {
-        if (ledger_error == nullptr) ledger_error = std::current_exception();
-      }
+      ledger->record(*completed);
     }
   };
 
@@ -451,18 +446,26 @@ TuneResult tune_run(const Trainable& trainable,
     // in configuration order and a slot takes the next trial as soon as
     // its current one is settled.
     std::atomic<size_t> cursor{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;  // first to escape a slot: rethrown below
     const auto slot = [&] {
-      for (size_t k = cursor++; k < pending.size(); k = cursor++) {
-        run_attempt(pending[k], submit_us);
-        settle_attempt(pending[k]);
+      try {
+        for (size_t k = cursor++; k < pending.size(); k = cursor++) {
+          run_attempt(pending[k], submit_us);
+          settle_attempt(pending[k]);
+        }
+      } catch (...) {  // a failed ledger write, a non-std exception
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (error == nullptr) error = std::current_exception();
       }
     };
-    std::vector<std::thread> slots;
-    const size_t n_slots =
-        std::min(static_cast<size_t>(max_parallel), pending.size());
-    for (size_t s = 0; s < n_slots; ++s) slots.emplace_back(slot);
-    for (std::thread& t : slots) t.join();
-    if (ledger_error != nullptr) std::rethrow_exception(ledger_error);
+    {
+      std::vector<std::jthread> slots;  // joined when the scope ends
+      const size_t n_slots =
+          std::min(static_cast<size_t>(max_parallel), pending.size());
+      for (size_t s = 0; s < n_slots; ++s) slots.emplace_back(slot);
+    }
+    if (error != nullptr) std::rethrow_exception(error);
 
     std::vector<size_t> failed;
     for (const size_t i : pending) {

@@ -205,6 +205,22 @@ TEST(TuneTest, RejectsImpossiblePerTrialRequest) {
                InvalidArgument);
 }
 
+TEST(TuneTest, NonStdExceptionLeavesTuneRun) {
+  // Not a trial failure tune_run can classify: it reaches the caller
+  // once the round's other trials are done, instead of ending the
+  // process from a slot thread.
+  std::atomic<int> finished{0};
+  const auto trainable = [&](const ParamSet& params, Reporter& reporter) {
+    if (param_double(params, "lr") > 5e-4) throw 42;
+    reporter.report(0, {{"val_dice", 0.5}});
+    ++finished;
+  };
+  TuneOptions opts;
+  opts.num_gpus = 2;
+  EXPECT_THROW(tune_run(trainable, lr_grid(), opts), int);
+  EXPECT_EQ(finished.load(), 3);
+}
+
 TEST(TuneTest, BestThrowsWhenNoTrialReportedMetric) {
   const auto silent = [](const ParamSet&, Reporter&) {};
   TuneOptions opts;
